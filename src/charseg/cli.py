@@ -32,32 +32,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_BOOL_FIELDS = ("use_attention", "use_4grams", "use_start_scores", "constrained_decode")
-_INT_FIELDS = ("d_emb", "hidden", "num_layers", "attn_width", "epochs", "batch_size", "seed")
-_FLOAT_FIELDS = ("dropout", "lr", "lr_decay", "grad_clip")
-_STR_FIELDS = ("variant", "optimizer")
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     defaults = model_mod.ModelConfig()
-    for name in _STR_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", default=None,
-                       help=f"default {getattr(defaults, name)}")
-    for name in _INT_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
-                       help=f"default {getattr(defaults, name)}")
-    for name in _FLOAT_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
-                       help=f"default {getattr(defaults, name)}")
-    for name in _BOOL_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", action=argparse.BooleanOptionalAction,
-                       default=None, help="variant default when omitted")
+    for name, kind in model_mod.CONFIG_TYPES.items():
+        flag = f"--{name.replace('_', '-')}"
+        if kind is bool:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction,
+                           default=None, help="variant default when omitted")
+        else:
+            p.add_argument(flag, type=kind, default=None, help=f"default {getattr(defaults, name)}")
     p.add_argument("--config", default=None, help="key=value config file")
 
 
 def _parse_config_file(path: str) -> dict:
     values: dict[str, object] = {}
-    fields = {f.name: f for f in dataclasses.fields(model_mod.ModelConfig)}
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -68,18 +56,18 @@ def _parse_config_file(path: str) -> dict:
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
             raw = raw.strip()
-            if key not in fields:
+            kind = model_mod.CONFIG_TYPES.get(key)
+            if kind is None:
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            if key in _BOOL_FIELDS:
+            if kind is bool:
                 if raw.lower() not in ("true", "false"):
                     raise UsageError(f"{path}:{line_no}: {key} must be true or false")
                 values[key] = raw.lower() == "true"
-            elif key in _INT_FIELDS:
-                values[key] = int(raw)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(raw)
             else:
-                values[key] = raw
+                try:
+                    values[key] = kind(raw)
+                except ValueError:
+                    raise UsageError(f"{path}:{line_no}: {key} must be {kind.__name__}, got {raw!r}") from None
     return values
 
 
@@ -87,8 +75,7 @@ def _build_config(args: argparse.Namespace) -> model_mod.ModelConfig:
     values: dict[str, object] = {}
     if args.config:
         values.update(_parse_config_file(args.config))
-    all_fields = _STR_FIELDS + _INT_FIELDS + _FLOAT_FIELDS + _BOOL_FIELDS
-    for name in all_fields:
+    for name in model_mod.CONFIG_TYPES:
         flag_value = getattr(args, name)
         if flag_value is not None:
             values[name] = flag_value

@@ -10,8 +10,7 @@ applies the boundary-grammar mask.
 
 Tie-breaking for equal-score paths is fixed: the decoder picks the lowest
 tag index at the final position and at every backpointer, which selects
-the path that is lexicographically smallest when read from the end. The
-brute-force oracle implements the identical rule.
+the path that is lexicographically smallest when read from the end.
 
 All functions are pure given their inputs and safe to call concurrently
 across sentences.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import N_TAGS, TAG_TO_ID
-from .errors import GoldPathForbidden, InstanceTooLarge, LengthMismatch, NoAllowedPath
+from .errors import GoldPathForbidden, LengthMismatch, NoAllowedPath
 from .nncore import logsumexp
 
 Array = np.ndarray
@@ -131,29 +130,39 @@ def _masked(emissions: Array, params: CrfParams, mask: ConstraintMask | None):
     )
 
 
-def sequence_score(emissions: Array, tags: np.ndarray, params: CrfParams) -> float:
-    """Unnormalized log score of one tag path."""
-    L, K = emissions.shape
+def _path_score(emis: Array, tags: np.ndarray, start: Array, trans: Array) -> np.float64:
+    """Start, emission and transition terms of one path, summed left to right."""
+    L = emis.shape[0]
     if len(tags) != L:
         raise LengthMismatch(f"{L} emission rows vs {len(tags)} tags")
-    score = params.start[tags[0]] + emissions[0, tags[0]]
+    score = start[tags[0]] + emis[0, tags[0]]
     for t in range(1, L):
-        score = score + params.transitions[tags[t - 1], tags[t]]
-        score = score + emissions[t, tags[t]]
-    return float(score)
+        score = score + trans[tags[t - 1], tags[t]] + emis[t, tags[t]]
+    return score
+
+
+def _forward(emis: Array, start: Array, trans: Array, end: Array) -> tuple[Array, float]:
+    """Log-domain forward recursion: the (L, K) alpha table and log Z."""
+    L, K = emis.shape
+    alpha = np.empty((L, K))
+    alpha[0] = start + emis[0]
+    for t in range(1, L):
+        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
+    log_z = float(logsumexp(alpha[L - 1] + end, axis=0))
+    if not np.isfinite(log_z):
+        raise NoAllowedPath("constraint mask leaves no complete path")
+    return alpha, log_z
+
+
+def sequence_score(emissions: Array, tags: np.ndarray, params: CrfParams) -> float:
+    """Unnormalized log score of one tag path."""
+    return float(_path_score(emissions, tags, params.start, params.transitions))
 
 
 def log_partition(emissions: Array, params: CrfParams, mask: ConstraintMask | None = None) -> float:
     """log sum over all (allowed) tag paths of exp(path score)."""
-    emis, start, trans, end = _masked(emissions, params, mask)
-    L, K = emis.shape
-    alpha = start + emis[0]
-    for t in range(1, L):
-        alpha = logsumexp(alpha[:, None] + trans, axis=0) + emis[t]
-    total = float(logsumexp(alpha + end, axis=0))
-    if not np.isfinite(total):
-        raise NoAllowedPath("constraint mask leaves no complete path")
-    return total
+    _, log_z = _forward(*_masked(emissions, params, mask))
+    return log_z
 
 
 @dataclass
@@ -177,23 +186,11 @@ def nll_loss(
     """
     emis, start, trans, end = _masked(emissions, params, mask)
     L, K = emis.shape
-    if len(gold) != L:
-        raise LengthMismatch(f"{L} emission rows vs {len(gold)} tags")
-
-    gold_score = start[gold[0]] + emis[0, gold[0]]
-    for t in range(1, L):
-        gold_score = gold_score + trans[gold[t - 1], gold[t]] + emis[t, gold[t]]
-    gold_score = gold_score + end[gold[L - 1]]
+    gold_score = _path_score(emis, gold, start, trans) + end[gold[L - 1]]
     if not np.isfinite(gold_score):
         raise GoldPathForbidden("gold path excluded by the constraint mask")
 
-    alpha = np.empty((L, K))
-    alpha[0] = start + emis[0]
-    for t in range(1, L):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
-    log_z = float(logsumexp(alpha[L - 1] + end, axis=0))
-    if not np.isfinite(log_z):
-        raise NoAllowedPath("constraint mask leaves no complete path")
+    alpha, log_z = _forward(emis, start, trans, end)
 
     beta = np.empty((L, K))
     beta[L - 1] = end
@@ -240,60 +237,3 @@ def viterbi_decode(
     for t in range(L - 1, 0, -1):
         path[t - 1] = backptr[t, path[t]]
     return path, best_score
-
-
-def brute_force_paths(
-    emissions: Array,
-    params: CrfParams,
-    mask: ConstraintMask | None = None,
-    max_paths: int = 10_000_000,
-) -> tuple[np.ndarray, float, float]:
-    """Exhaustive enumeration oracle: (best path, best score, log partition).
-
-    Scores accumulate in the same term order as the dynamic programs so
-    structurally tied paths compare bit-identically. Among equal-score
-    paths the winner is the one lexicographically smallest from the end,
-    matching viterbi_decode's backpointer rule.
-    """
-    emis, start, trans, end = _masked(emissions, params, mask)
-    L, K = emis.shape
-    n_paths = K ** L
-    if n_paths > max_paths:
-        raise InstanceTooLarge(f"{K}^{L} = {n_paths} paths exceeds {max_paths}")
-
-    best_score = NEG_INF
-    best_path: np.ndarray | None = None
-    log_z_blocks: list[float] = []
-    block = 1 << 18
-    for lo in range(0, n_paths, block):
-        idx = np.arange(lo, min(lo + block, n_paths), dtype=np.int64)
-        digits = np.empty((idx.size, L), dtype=np.int64)
-        rem = idx.copy()
-        for t in range(L - 1, -1, -1):
-            digits[:, t] = rem % K
-            rem //= K
-        scores = start[digits[:, 0]] + emis[0, digits[:, 0]]
-        for t in range(1, L):
-            scores = scores + trans[digits[:, t - 1], digits[:, t]]
-            scores = scores + emis[t, digits[:, t]]
-        scores = scores + end[digits[:, L - 1]]
-        finite = scores[np.isfinite(scores)]
-        if finite.size:
-            m = float(np.max(finite))
-            log_z_blocks.append(m + np.log(np.sum(np.exp(finite - m))))
-        block_max = float(np.max(scores)) if scores.size else NEG_INF
-        if np.isfinite(block_max) and block_max >= best_score:
-            tied = digits[scores == block_max]
-            cand = min(tuple(row[::-1]) for row in tied)
-            cand_path = np.array(cand[::-1], dtype=np.int64)
-            if block_max > best_score or (
-                best_path is not None and tuple(cand_path[::-1]) < tuple(best_path[::-1])
-            ):
-                best_score = block_max
-                best_path = cand_path
-    if best_path is None:
-        raise NoAllowedPath("constraint mask leaves no complete path")
-    arr = np.array(log_z_blocks)
-    m = float(np.max(arr))
-    log_z = m + float(np.log(np.sum(np.exp(arr - m))))
-    return best_path, best_score, log_z

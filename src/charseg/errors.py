@@ -69,10 +69,6 @@ class GoldPathForbidden(CharsegError):
     """The gold tag path is excluded by the constraint mask."""
 
 
-class InstanceTooLarge(CharsegError):
-    """Brute-force enumeration refused: too many paths."""
-
-
 # -- model / io --------------------------------------------------------------
 
 class BadConfig(CharsegError):

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +147,30 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        """Build from a decoded checkpoint config, checking every value
+        against its field's type; ints are accepted for float fields."""
+        unknown = set(d) - set(CONFIG_TYPES)
         if unknown:
             raise BadConfig(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d)
+        defaults = cls()
+        values = {}
+        for name, value in d.items():
+            kind = CONFIG_TYPES[name]
+            if value is None and getattr(defaults, name) is None:
+                values[name] = None
+            elif type(value) is kind or (kind is float and type(value) is int):
+                values[name] = kind(value)
+            else:
+                raise BadConfig(f"config field {name} must be {kind.__name__}, got {value!r}")
+        return cls(**values)
+
+
+# ModelConfig field -> the type of its value (bool, int, float or str), in
+# field order; a ``X | None`` field gives X
+CONFIG_TYPES: dict[str, type] = {
+    name: (typing.get_args(hint) or (hint,))[0]
+    for name, hint in typing.get_type_hints(ModelConfig).items()
+}
 
 
 @dataclass
@@ -485,19 +506,30 @@ def read_checkpoint(path) -> CheckpointData:
         config = header["config"]
         metadata = header["metadata"]
         vocab_sha256 = header["vocab_sha256"]
-        entries = [(e["name"], tuple(e["shape"]), int(e["offset"])) for e in directory]
+        entries = [(e["name"], e["shape"], e["offset"]) for e in directory]
     except (KeyError, TypeError) as exc:
         raise BadMagic(f"malformed checkpoint header: {exc}") from None
+    if not (isinstance(config, dict) and isinstance(metadata, dict) and isinstance(vocab_sha256, str)):
+        raise BadMagic("malformed checkpoint header: bad config, metadata or vocab_sha256")
+    # the tensors must tile the data exactly, in directory order
     tensors: dict[str, Array] = {}
+    end = 0
     for name, shape, start in entries:
-        count = int(np.prod(shape)) if shape else 1
-        end = start + 8 * count
-        if start < 0 or end > len(data):
+        if not isinstance(name, str) or name in tensors:
+            raise BadMagic(f"bad or repeated tensor name {name!r}")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise BadMagic(f"tensor {name}: shape {shape!r} is not a list of non-negative integers")
+        if type(start) is not int or start != end:
+            raise ShapeMismatch(f"tensor {name}: offset {start!r}, expected {end}")
+        end = start + 8 * math.prod(shape)
+        if end > len(data):
             raise ShapeMismatch(f"tensor {name} runs past end of file")
         arr = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).copy()
         if not np.all(np.isfinite(arr)):
             raise ShapeMismatch(f"tensor {name} contains non-finite values")
         tensors[name] = arr
+    if end != len(data):
+        raise ShapeMismatch(f"{len(data) - end} bytes after the last tensor")
     return CheckpointData(
         config=config,
         metadata=metadata,

@@ -124,41 +124,6 @@ class LstmParams:
 
 
 @dataclass
-class LstmState:
-    h: Array
-    c: Array
-
-    @classmethod
-    def zeros(cls, hidden_dim: int) -> "LstmState":
-        return cls(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
-
-
-def lstm_step(params: LstmParams, state: LstmState, x: Array) -> LstmState:
-    """Single cell update.
-
-    input gate   i = sigmoid(W_i h + U_i x + b_i)
-    forget gate  f = sigmoid(W_f h + U_f x + b_f)
-    candidate    g = tanh   (W_c h + U_c x + b_c)
-    output gate  o = sigmoid(W_o h + U_o x + b_o)
-    cell         c' = f * c + i * g
-    hidden       h' = o * tanh(c')
-    """
-    h_prev, c_prev = state.h, state.c
-    if x.shape != (params.input_dim,) or h_prev.shape != (params.hidden_dim,):
-        raise ShapeMismatch(
-            f"lstm_step: x {x.shape}, h {h_prev.shape}, expected "
-            f"({params.input_dim},) and ({params.hidden_dim},)"
-        )
-    i = sigmoid(params.W_i @ h_prev + params.U_i @ x + params.b_i)
-    f = sigmoid(params.W_f @ h_prev + params.U_f @ x + params.b_f)
-    g = np.tanh(params.W_c @ h_prev + params.U_c @ x + params.b_c)
-    o = sigmoid(params.W_o @ h_prev + params.U_o @ x + params.b_o)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return LstmState(h=h, c=c)
-
-
-@dataclass
 class LstmCache:
     X: Array        # (L, d) inputs
     H_prev: Array   # (L, h) hidden state entering each step
@@ -171,14 +136,21 @@ class LstmCache:
     H: Array        # (L, h) hidden state after each step
 
 
-def lstm_forward(params: LstmParams, X: Array, state0: LstmState | None = None) -> tuple[Array, LstmCache]:
-    """Run the cell over the rows of X. Returns hidden states (L, h)."""
+def lstm_forward(params: LstmParams, X: Array) -> tuple[Array, LstmCache]:
+    """Run the cell over the rows of X from the zero state. Returns hidden
+    states (L, h).
+
+    input gate   i = sigmoid(W_i h + U_i x + b_i)
+    forget gate  f = sigmoid(W_f h + U_f x + b_f)
+    candidate    g = tanh   (W_c h + U_c x + b_c)
+    output gate  o = sigmoid(W_o h + U_o x + b_o)
+    cell         c' = f * c + i * g
+    hidden       h' = o * tanh(c')
+    """
     L = X.shape[0]
     h_dim = params.hidden_dim
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ShapeMismatch(f"lstm_forward: X {X.shape}, expected (L, {params.input_dim})")
-    if state0 is None:
-        state0 = LstmState.zeros(h_dim)
     H_prev = np.empty((L, h_dim))
     C_prev = np.empty((L, h_dim))
     I = np.empty((L, h_dim))
@@ -187,7 +159,7 @@ def lstm_forward(params: LstmParams, X: Array, state0: LstmState | None = None) 
     O = np.empty((L, h_dim))
     C = np.empty((L, h_dim))
     H = np.empty((L, h_dim))
-    h, c = state0.h, state0.c
+    h, c = np.zeros(h_dim), np.zeros(h_dim)
     for t in range(L):
         H_prev[t] = h
         C_prev[t] = c
@@ -202,27 +174,17 @@ def lstm_forward(params: LstmParams, X: Array, state0: LstmState | None = None) 
     return H, LstmCache(X=X, H_prev=H_prev, C_prev=C_prev, I=I, F=F, G=G, O=O, C=C, H=H)
 
 
-def lstm_backward(
-    params: LstmParams,
-    cache: LstmCache,
-    dH: Array,
-    dh_last: Array | None = None,
-    dc_last: Array | None = None,
-) -> tuple[Array, dict[str, Array]]:
-    """Backprop through lstm_forward.
-
-    dH holds per-step gradients on the emitted hidden states; dh_last and
-    dc_last are extra gradients flowing into the final state (used by the
-    subword composer, which only consumes the last state).
-    """
+def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array) -> tuple[Array, dict[str, Array]]:
+    """Backprop through lstm_forward; dH holds per-step gradients on the
+    emitted hidden states."""
     L, h_dim = cache.H.shape
     tanh_C = np.tanh(cache.C)
     dPre_i = np.empty((L, h_dim))
     dPre_f = np.empty((L, h_dim))
     dPre_g = np.empty((L, h_dim))
     dPre_o = np.empty((L, h_dim))
-    carry_dh = np.zeros(h_dim) if dh_last is None else dh_last.copy()
-    carry_dc = np.zeros(h_dim) if dc_last is None else dc_last.copy()
+    carry_dh = np.zeros(h_dim)
+    carry_dc = np.zeros(h_dim)
     for t in range(L - 1, -1, -1):
         dh = dH[t] + carry_dh
         i, f, g, o = cache.I[t], cache.F[t], cache.G[t], cache.O[t]

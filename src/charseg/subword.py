@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import WHITESPACE, _token_spans
 from .errors import BadEscape, BadTag, EmptyCorpus, LengthMismatch, UninitializedEmbedder
-from .nncore import LstmCache, LstmParams, lstm_backward, lstm_forward, uniform_init
+from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward, uniform_init
 
 Array = np.ndarray
 
@@ -254,9 +254,7 @@ class SubwordEmbedder:
 @dataclass
 class ComposerCache:
     ids: dict[int, np.ndarray]  # order -> (token length,)
-    X: Array                    # (token length, ngram_width)
-    fwd: LstmCache
-    bwd: LstmCache
+    lstm: BiLstmCache
 
 
 def _token_input(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> tuple[dict[int, np.ndarray], Array]:
@@ -267,10 +265,10 @@ def _token_input(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> tu
 
 def _compose(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> tuple[Array, ComposerCache]:
     ids, X = _token_input(token, vocab, embedder)
-    H_f, cache_f = lstm_forward(embedder.fwd, X)
-    H_b, cache_b = lstm_forward(embedder.bwd, X[::-1])
-    vec = np.concatenate([H_f[-1], H_b[-1]])
-    return vec, ComposerCache(ids=ids, X=X, fwd=cache_f, bwd=cache_b)
+    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X)
+    d = embedder.dim
+    vec = np.concatenate([Y[-1, :d], Y[0, d:]])
+    return vec, ComposerCache(ids=ids, lstm=lstm_cache)
 
 
 def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:
@@ -340,10 +338,10 @@ def char_features_backward(cache: FeatureCache, dF: Array, embedder: SubwordEmbe
         comp_grads_b = {k: np.zeros_like(v) for k, v in embedder.bwd.tensors().items()}
         for (a, b), cc in zip(cache.spans, cache.composers):
             d_vec = dF[a:b, col:].sum(axis=0)
-            zero = np.zeros_like(cc.fwd.H)
-            dX_f, g_f = lstm_backward(embedder.fwd, cc.fwd, zero, dh_last=d_vec[:dim])
-            dX_b_rev, g_b = lstm_backward(embedder.bwd, cc.bwd, zero, dh_last=d_vec[dim:])
-            dX = dX_f + dX_b_rev[::-1]
+            dY = np.zeros((b - a, 2 * dim))
+            dY[-1, :dim] = d_vec[:dim]
+            dY[0, dim:] = d_vec[dim:]
+            dX, g_f, g_b = bilstm_backward(embedder.fwd, embedder.bwd, cc.lstm, dY)
             for k in comp_grads_f:
                 comp_grads_f[k] += g_f[k]
                 comp_grads_b[k] += g_b[k]

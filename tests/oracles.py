@@ -1,0 +1,89 @@
+"""Reference implementations that the tests check the package against.
+
+``lstm_cell`` is one LSTM update written gate by gate from the equations
+in ``nncore.lstm_forward``; ``brute_force_paths`` enumerates every tag path
+of a CRF instance.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from charseg.crf import ConstraintMask, CrfParams, _masked
+from charseg.errors import CharsegError, NoAllowedPath
+from charseg.nncore import LstmParams, sigmoid
+
+Array = np.ndarray
+
+NEG_INF = -np.inf
+
+
+class InstanceTooLarge(CharsegError):
+    """Brute-force enumeration refused: too many paths."""
+
+
+def lstm_cell(params: LstmParams, h: Array, c: Array, x: Array) -> tuple[Array, Array]:
+    """One cell update from state (h, c) on input x; returns (h', c')."""
+    i = sigmoid(params.W_i @ h + params.U_i @ x + params.b_i)
+    f = sigmoid(params.W_f @ h + params.U_f @ x + params.b_f)
+    g = np.tanh(params.W_c @ h + params.U_c @ x + params.b_c)
+    o = sigmoid(params.W_o @ h + params.U_o @ x + params.b_o)
+    c = f * c + i * g
+    return o * np.tanh(c), c
+
+
+def brute_force_paths(
+    emissions: Array,
+    params: CrfParams,
+    mask: ConstraintMask | None = None,
+    max_paths: int = 10_000_000,
+) -> tuple[np.ndarray, float, float]:
+    """Exhaustive enumeration oracle: (best path, best score, log partition).
+
+    Scores accumulate in the same term order as the dynamic programs so
+    structurally tied paths compare bit-identically. Among equal-score
+    paths the winner is the one lexicographically smallest from the end,
+    matching viterbi_decode's backpointer rule.
+    """
+    emis, start, trans, end = _masked(emissions, params, mask)
+    L, K = emis.shape
+    n_paths = K ** L
+    if n_paths > max_paths:
+        raise InstanceTooLarge(f"{K}^{L} = {n_paths} paths exceeds {max_paths}")
+
+    best_score = NEG_INF
+    best_path: np.ndarray | None = None
+    log_z_blocks: list[float] = []
+    block = 1 << 18
+    for lo in range(0, n_paths, block):
+        idx = np.arange(lo, min(lo + block, n_paths), dtype=np.int64)
+        digits = np.empty((idx.size, L), dtype=np.int64)
+        rem = idx.copy()
+        for t in range(L - 1, -1, -1):
+            digits[:, t] = rem % K
+            rem //= K
+        scores = start[digits[:, 0]] + emis[0, digits[:, 0]]
+        for t in range(1, L):
+            scores = scores + trans[digits[:, t - 1], digits[:, t]]
+            scores = scores + emis[t, digits[:, t]]
+        scores = scores + end[digits[:, L - 1]]
+        finite = scores[np.isfinite(scores)]
+        if finite.size:
+            m = float(np.max(finite))
+            log_z_blocks.append(m + np.log(np.sum(np.exp(finite - m))))
+        block_max = float(np.max(scores)) if scores.size else NEG_INF
+        if np.isfinite(block_max) and block_max >= best_score:
+            tied = digits[scores == block_max]
+            cand = min(tuple(row[::-1]) for row in tied)
+            cand_path = np.array(cand[::-1], dtype=np.int64)
+            if block_max > best_score or (
+                best_path is not None and tuple(cand_path[::-1]) < tuple(best_path[::-1])
+            ):
+                best_score = block_max
+                best_path = cand_path
+    if best_path is None:
+        raise NoAllowedPath("constraint mask leaves no complete path")
+    arr = np.array(log_z_blocks)
+    m = float(np.max(arr))
+    log_z = m + float(np.log(np.sum(np.exp(arr - m))))
+    return best_path, best_score, log_z

@@ -21,13 +21,14 @@ from charseg.corpus import (
     tags_are_valid,
     tags_from_segmentation,
 )
-from charseg.crf import CrfParams, brute_force_paths, log_partition, nll_loss, viterbi_decode
+from charseg.crf import CrfParams, log_partition, nll_loss, viterbi_decode
 from charseg.metrics import parse_report, tag_prf
 from charseg.model import Model, ModelConfig, load_model, save_model, train
 from charseg.nncore import grad_check
 from charseg.subword import build_vocab
 from charseg.synth import labeled_pairs, make_lexicon, make_sentences, make_split
 
+from oracles import brute_force_paths
 from test_crf import random_mask, random_params
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,12 @@ def test_config_file_bad_key(tmp_path):
     assert main(["train", str(tmp_path), "--dump-config", "--config", str(cfg)]) == 1
 
 
+def test_config_file_bad_value(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hidden=six\n", encoding="utf-8")
+    assert main(["train", str(tmp_path), "--dump-config", "--config", str(cfg)]) == 1
+
+
 # ---------------------------------------------------------------------------
 # segment
 # ---------------------------------------------------------------------------
@@ -173,6 +180,27 @@ def test_segment_emit_tags_readable(trained, tmp_path):
     pairs = read_labeled(tags_path)
     assert len(pairs) == 1
     assert len(pairs[0][1]) == len("ab cd ef gh")
+
+
+def edit_checkpoint(src: Path, dst: Path, edit, trailing: bytes = b"") -> None:
+    """Copy a checkpoint, letting edit(header) change its JSON header."""
+    raw = src.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + n])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :] + trailing)
+
+
+@pytest.mark.parametrize("field, value", [("hidden", "six"), ("dropout", "x")])
+def test_segment_mistyped_checkpoint_config(trained, tmp_path, field, value):
+    ckpt = tmp_path / "checkpoint.bin"
+    edit_checkpoint(trained / "checkpoint.bin", ckpt, lambda h: h["config"].update({field: value}))
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd\n", encoding="utf-8")
+    code = main(["segment", "--checkpoint", str(ckpt), "--vocab", str(trained / "vocab.tsv"),
+                 "--input", str(inp), "--output", str(tmp_path / "out.txt")])
+    assert code == 2
 
 
 def test_segment_missing_checkpoint(tmp_path):
@@ -238,3 +266,19 @@ def test_inspect_bad_file(tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"nope")
     assert main(["inspect", str(p)]) == 2
+
+
+@pytest.mark.parametrize("edit, trailing", [
+    (lambda h: h["tensors"][0].update(shape=[str(n) for n in h["tensors"][0]["shape"]]), b""),
+    (lambda h: h["tensors"][-1].update(shape=[-1, 2]), b""),
+    (lambda h: h["tensors"][1].update(offset=h["tensors"][0]["offset"]), b""),
+    (lambda h: None, bytes(8)),
+    (lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]), b""),
+    (lambda h: h.update(config=5), b""),
+    (lambda h: h.update(vocab_sha256=5), b""),
+], ids=["non-integer-shape", "negative-shape", "shared-offset", "trailing-bytes",
+        "repeated-name", "config-not-object", "vocab-hash-not-string"])
+def test_inspect_bad_tensor_directory(trained, tmp_path, edit, trailing):
+    ckpt = tmp_path / "checkpoint.bin"
+    edit_checkpoint(trained / "checkpoint.bin", ckpt, edit, trailing)
+    assert main(["inspect", str(ckpt)]) == 2

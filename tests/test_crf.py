@@ -7,19 +7,15 @@ from charseg.corpus import TAG_TO_ID, ids_to_tags, tags_are_valid, tags_match_wh
 from charseg.crf import (
     ConstraintMask,
     CrfParams,
-    brute_force_paths,
     grammar_mask,
     log_partition,
     nll_loss,
     sequence_score,
     viterbi_decode,
 )
-from charseg.errors import (
-    GoldPathForbidden,
-    InstanceTooLarge,
-    LengthMismatch,
-    NoAllowedPath,
-)
+from charseg.errors import GoldPathForbidden, LengthMismatch, NoAllowedPath
+
+from oracles import InstanceTooLarge, brute_force_paths
 
 K = 5
 

@@ -81,6 +81,16 @@ def test_bad_config_numeric():
         ModelConfig(variant="transformer").resolve()
 
 
+def test_config_from_dict_type_checks():
+    cfg = ModelConfig.from_dict({"lr": 1, "hidden": 8, "use_attention": None})
+    assert cfg.lr == 1.0 and type(cfg.lr) is float
+    assert cfg.hidden == 8 and cfg.use_attention is None
+    for bad in ({"hidden": "six"}, {"hidden": True}, {"hidden": 8.0}, {"dropout": "x"},
+                {"dropout": False}, {"variant": 3}, {"use_4grams": 1}, {"use_4grams": None}):
+        with pytest.raises(BadConfig):
+            ModelConfig.from_dict(bad)
+
+
 def test_feature_orders_respect_4gram_flag():
     assert ModelConfig(variant="sgnws", use_4grams=True).feature_orders() == (1, 2, 3, 4)
     assert ModelConfig(variant="sgnws", use_4grams=False).feature_orders() == (1, 2, 3)

@@ -12,7 +12,6 @@ from charseg.nncore import (
     DenseParams,
     GradCheckReport,
     LstmParams,
-    LstmState,
     adamax_step,
     bilstm_backward,
     bilstm_forward,
@@ -24,13 +23,14 @@ from charseg.nncore import (
     logsumexp,
     lstm_backward,
     lstm_forward,
-    lstm_step,
     self_attention,
     self_attention_backward,
     sigmoid,
     softmax,
     variational_dropout,
 )
+
+from oracles import lstm_cell
 
 
 def zero_lstm(d_in, hidden):
@@ -49,44 +49,49 @@ def random_lstm(d_in, hidden, rng):
 
 
 # ---------------------------------------------------------------------------
-# lstm_step
+# lstm_forward, one step at a time
 # ---------------------------------------------------------------------------
 
 def test_lstm_step_zero_params_is_fixed_point():
     p = zero_lstm(3, 4)
-    state = LstmState.zeros(4)
-    out = lstm_step(p, state, np.array([5.0, -2.0, 7.0]))
+    H, cache = lstm_forward(p, np.array([[5.0, -2.0, 7.0]]))
     # gates are all 0.5, candidate 0, so cell and hidden stay exactly zero
-    np.testing.assert_array_equal(out.c, np.zeros(4))
-    np.testing.assert_array_equal(out.h, np.zeros(4))
+    np.testing.assert_array_equal(cache.C[0], np.zeros(4))
+    np.testing.assert_array_equal(H[0], np.zeros(4))
 
 
 def test_lstm_step_scalar_matches_hand_arithmetic():
-    # 1-dimensional cell computed independently with math.* scalar ops
+    # 1-dimensional cell computed independently with math.* scalar ops,
+    # two steps from the zero state so the second one has h, c != 0
     w = dict(W_i=0.5, U_i=1.0, b_i=0.1, W_f=-0.3, U_f=0.8, b_f=0.2,
              W_c=0.7, U_c=-0.6, b_c=0.0, W_o=0.2, U_o=0.9, b_o=-0.1)
-    h0, c0, x = 0.3, -0.2, 0.4
+    xs = (0.4, -0.7)
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    i = sig(w["W_i"] * h0 + w["U_i"] * x + w["b_i"])
-    f = sig(w["W_f"] * h0 + w["U_f"] * x + w["b_f"])
-    g = math.tanh(w["W_c"] * h0 + w["U_c"] * x + w["b_c"])
-    o = sig(w["W_o"] * h0 + w["U_o"] * x + w["b_o"])
-    c1 = f * c0 + i * g
-    h1 = o * math.tanh(c1)
+    h, c = 0.0, 0.0
+    expected = []
+    for x in xs:
+        i = sig(w["W_i"] * h + w["U_i"] * x + w["b_i"])
+        f = sig(w["W_f"] * h + w["U_f"] * x + w["b_f"])
+        g = math.tanh(w["W_c"] * h + w["U_c"] * x + w["b_c"])
+        o = sig(w["W_o"] * h + w["U_o"] * x + w["b_o"])
+        c = f * c + i * g
+        h = o * math.tanh(c)
+        expected.append((h, c))
 
     p = LstmParams(**{k: np.array([[v]]) if k[0] in "WU" else np.array([v]) for k, v in w.items()})
-    out = lstm_step(p, LstmState(h=np.array([h0]), c=np.array([c0])), np.array([x]))
-    assert out.h[0] == pytest.approx(h1, abs=1e-15)
-    assert out.c[0] == pytest.approx(c1, abs=1e-15)
+    H, cache = lstm_forward(p, np.array(xs)[:, None])
+    for t, (h, c) in enumerate(expected):
+        assert H[t, 0] == pytest.approx(h, abs=1e-15)
+        assert cache.C[t, 0] == pytest.approx(c, abs=1e-15)
 
 
 def test_lstm_step_shape_mismatch():
     p = zero_lstm(3, 4)
     with pytest.raises(ShapeMismatch):
-        lstm_step(p, LstmState.zeros(4), np.zeros(5))
+        lstm_forward(p, np.zeros((1, 5)))
 
 
 def test_lstm_gate_outputs_bounded(rng):
@@ -168,16 +173,16 @@ def test_bilstm_matches_stepwise_oracle(rng):
     X = rng.normal(size=(4, 3))
     Y, _ = bilstm_forward(fwd, bwd, X)
 
-    state = LstmState.zeros(2)
+    h, c = np.zeros(2), np.zeros(2)
     fwd_h = []
     for t in range(4):
-        state = lstm_step(fwd, state, X[t])
-        fwd_h.append(state.h)
-    state = LstmState.zeros(2)
+        h, c = lstm_cell(fwd, h, c, X[t])
+        fwd_h.append(h)
+    h, c = np.zeros(2), np.zeros(2)
     bwd_h = [None] * 4
     for t in range(3, -1, -1):
-        state = lstm_step(bwd, state, X[t])
-        bwd_h[t] = state.h
+        h, c = lstm_cell(bwd, h, c, X[t])
+        bwd_h[t] = h
     oracle = np.hstack([np.vstack(fwd_h), np.vstack(bwd_h)])
     np.testing.assert_allclose(Y, oracle, atol=1e-14)
 
