@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, metrics, model as model_mod, subword
-from .errors import BadConfig, CharsegError, NonFiniteGradient
+from .errors import BadConfig, CharsegError, InvalidUtf8, NonFiniteGradient
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,8 +46,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _parse_config_file(path: str) -> dict:
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
+    try:
+        for line_no, line in corpus.utf8_lines(path):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -68,6 +68,8 @@ def _parse_config_file(path: str) -> dict:
                     values[key] = kind(raw)
                 except ValueError:
                     raise UsageError(f"{path}:{line_no}: {key} must be {kind.__name__}, got {raw!r}") from None
+    except InvalidUtf8 as exc:
+        raise UsageError(f"{path}: {exc}") from None
     return values
 
 
@@ -170,18 +172,17 @@ def cmd_segment(args) -> int:
     tagged: list[tuple[corpus.Sentence, str]] = []
     repairs = 0
     try:
-        with open(args.input, "r", encoding="utf-8") as f:
-            for line in f:
-                text = corpus.normalize_text(line.rstrip("\n")).strip()
-                if not text:
-                    out.write("\n")
-                    continue
-                tags = net.predict(text)
-                tokens, n_rep = corpus.segmentation_from_tags(text, tags)
-                repairs += n_rep
-                out.write(" ".join(tokens) + "\n")
-                if args.emit_tags:
-                    tagged.append((corpus.Sentence(text=text), tags))
+        for _, line in corpus.utf8_lines(args.input):
+            text = corpus.normalize_text(line.rstrip("\n")).strip()
+            if not text:
+                out.write("\n")
+                continue
+            tags = net.predict(text)
+            tokens, n_rep = corpus.segmentation_from_tags(text, tags)
+            repairs += n_rep
+            out.write(" ".join(tokens) + "\n")
+            if args.emit_tags:
+                tagged.append((corpus.Sentence(text=text), tags))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -67,6 +67,24 @@ def normalize_text(raw: bytes | str) -> str:
     return "".join(out)
 
 
+def utf8_lines(path, newline: str | None = None) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) over a UTF-8 text file, opened with the
+    given newline mode. A line holding bytes that are not UTF-8 raises
+    InvalidUtf8 naming the line and the byte offset within it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.isascii():
+                # only the escapes of undecodable bytes fail to encode
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise InvalidUtf8(exc.start, exc.reason, line=line_no) from None
+            yield line_no, line
+
+
 def _token_spans(text: str) -> list[tuple[int, int]]:
     """Half-open spans of maximal non-whitespace runs."""
     spans = []
@@ -142,9 +160,6 @@ class Sentence:
     @classmethod
     def from_text(cls, text: str) -> "Sentence":
         return cls(text=text, token_spans=tuple(_token_spans(text)))
-
-    def whitespace_flags(self) -> list[bool]:
-        return [ch in WHITESPACE for ch in self.text]
 
     def tokens(self) -> list[str]:
         if self.token_spans is None:
@@ -266,9 +281,6 @@ class DatasetSplit:
     dev: list
     test: list
 
-    def __iter__(self):
-        return iter((self.train, self.dev, self.test))
-
 
 def split_dataset(items: Sequence, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
     """Seeded shuffle, then contiguous partition with floor-sized train/dev."""
@@ -332,19 +344,18 @@ def read_labeled(path) -> list[tuple[Sentence, str]]:
             chars.clear()
             tags.clear()
 
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                flush()
-                continue
-            if "\t" not in line:
-                raise BadTag(line_no, "expected <char>\\t<tag>")
-            fieldtext, tag = line.split("\t", 1)
-            if tag not in TAG_TO_ID:
-                raise BadTag(line_no, f"unknown tag {tag!r}")
-            chars.append(_unescape_char(fieldtext, line_no))
-            tags.append(tag)
+    for line_no, line in utf8_lines(path, newline="\n"):
+        line = line.rstrip("\n")
+        if not line:
+            flush()
+            continue
+        if "\t" not in line:
+            raise BadTag(line_no, "expected <char>\\t<tag>")
+        fieldtext, tag = line.split("\t", 1)
+        if tag not in TAG_TO_ID:
+            raise BadTag(line_no, f"unknown tag {tag!r}")
+        chars.append(_unescape_char(fieldtext, line_no))
+        tags.append(tag)
     flush()
     return pairs
 

@@ -52,9 +52,6 @@ class CrfParams:
     def n_tags(self) -> int:
         return self.start.shape[0]
 
-    def tensors(self, prefix: str = "") -> dict[str, Array]:
-        return {f"{prefix}transitions": self.transitions, f"{prefix}start": self.start}
-
 
 @dataclass
 class ConstraintMask:

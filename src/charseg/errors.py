@@ -8,9 +8,11 @@ class CharsegError(Exception):
 # -- corpus ------------------------------------------------------------------
 
 class InvalidUtf8(CharsegError):
-    def __init__(self, position: int, reason: str = ""):
+    def __init__(self, position: int, reason: str = "", line: int | None = None):
         self.position = position
-        super().__init__(f"invalid UTF-8 at byte {position}" + (f": {reason}" if reason else ""))
+        self.line = line
+        where = "" if line is None else f"line {line}: "
+        super().__init__(f"{where}invalid UTF-8 at byte {position}" + (f": {reason}" if reason else ""))
 
 
 class SpanViolation(CharsegError):

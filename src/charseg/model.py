@@ -13,6 +13,8 @@ CRF. Baseline variants strip parts of that stack:
     bilstm_crf_trigram  + trigram windows
     sgnws               + 4-gram windows and self-attention
 
+Every parameter tensor is a named view of one float64 vector,
+``Model.theta``; gradients come back as one vector laid out the same way.
 Training is per-sentence gradient descent with Adamax, global-norm
 clipping, and epoch-level model selection on dev tag F. Everything is
 deterministic given (config, seed, corpus). Training mutates parameters
@@ -25,9 +27,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
+import sys
 import typing
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +93,6 @@ class ModelConfig:
     lr_decay: float = 1.0  # per-epoch multiplier, 1.0 = constant rate
     grad_clip: float = 5.0
     epochs: int = 40
-    optimizer: str = "adamax"
     batch_size: int = 1
     seed: int = 0
     use_attention: bool | None = None
@@ -126,8 +130,6 @@ class ModelConfig:
             raise BadConfig("dropout must lie in [0, 1)")
         if self.attn_width < 0:
             raise BadConfig("attn_width must be >= 0")
-        if self.optimizer != "adamax":
-            raise BadConfig(f"unsupported optimizer {self.optimizer!r}")
         crf = self.is_crf()
         if self.use_attention and self.variant != "sgnws":
             raise BadConfig(f"use_attention is only valid for variant sgnws, not {self.variant}")
@@ -148,7 +150,12 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Build from a decoded checkpoint config, checking every value
-        against its field's type; ints are accepted for float fields."""
+        against its field's type; ints are accepted for float fields.
+        Version-1 checkpoints carry ``"optimizer": "adamax"``, the only
+        optimizer there is; it is dropped."""
+        if d.get("optimizer", "adamax") != "adamax":
+            raise BadConfig(f"unsupported optimizer {d['optimizer']!r}")
+        d = {k: v for k, v in d.items() if k != "optimizer"}
         unknown = set(d) - set(CONFIG_TYPES)
         if unknown:
             raise BadConfig(f"unknown config fields: {sorted(unknown)}")
@@ -184,58 +191,130 @@ class ForwardCache:
     out_cache: object
 
 
+class Layers(NamedTuple):
+    """The network's parameter containers."""
+
+    embedder: SubwordEmbedder
+    encoder: list[tuple[LstmParams, LstmParams | None]]
+    hidden_proj: DenseParams
+    attn: AttentionParams | None
+    out_proj: DenseParams
+    crf: crf_mod.CrfParams | None
+
+
+def _draw(config: ModelConfig, vocab: NgramVocab) -> Layers:
+    """Freshly initialized containers; the draws run embedder first."""
+    rng = np.random.default_rng([config.seed, 0])
+    _, use_composer, bidirectional, use_crf = VARIANTS[config.variant]
+    embedder = SubwordEmbedder.init(
+        vocab, config.d_emb, orders=config.feature_orders(), use_composer=use_composer, rng=rng
+    )
+    enc_out = 2 * config.hidden if bidirectional else config.hidden
+    encoder = []
+    d_in = embedder.feature_width
+    for _ in range(config.num_layers):
+        fwd = LstmParams.init(d_in, config.hidden, rng)
+        bwd = LstmParams.init(d_in, config.hidden, rng) if bidirectional else None
+        encoder.append((fwd, bwd))
+        d_in = enc_out
+    width = config.attn_width if config.attn_width > 0 else enc_out
+    hidden_proj = DenseParams.init(enc_out, width, rng)
+    attn = AttentionParams.init(width, rng) if config.use_attention else None
+    out_proj = DenseParams.init(width, N_TAGS, rng)
+    crf = crf_mod.CrfParams.init(N_TAGS, rng) if use_crf else None
+    if crf is not None and not config.use_start_scores:
+        crf.start[:] = 0.0
+    return Layers(embedder, encoder, hidden_proj, attn, out_proj, crf)
+
+
+def _named(layers: Layers) -> dict[str, Array]:
+    """Every tensor under its checkpoint name, in layout order: the order
+    backprop produces the gradients, output layer first. Clipping adds up
+    one sum of squares per tensor in this order, and trained checkpoints
+    depend on that rounding."""
+    out: dict[str, Array] = {}
+
+    def put(prefix: str, p) -> None:
+        if p is not None:
+            out.update((prefix + f.name, getattr(p, f.name)) for f in dataclasses.fields(p))
+
+    put("out.", layers.out_proj)
+    put("attn.", layers.attn)
+    put("dense.", layers.hidden_proj)
+    for i in range(len(layers.encoder) - 1, -1, -1):
+        put(f"enc{i}.fwd.", layers.encoder[i][0])
+        put(f"enc{i}.bwd.", layers.encoder[i][1])
+    out.update((f"emb.{n}", t) for n, t in layers.embedder.tables.items())
+    put("composer.fwd.", layers.embedder.fwd)
+    put("composer.bwd.", layers.embedder.bwd)
+    put("crf.", layers.crf)
+    return out
+
+
 class Model:
-    """A built network bound to one vocabulary."""
+    """A built network bound to one vocabulary.
+
+    ``theta`` holds every parameter, the frozen CRF start scores included;
+    ``layout`` maps each tensor name to its (slice, shape) in it, and the
+    container fields (``encoder``, ``out_proj``, ``embedder.tables`` ...)
+    are views of it.
+    """
 
     def __init__(self, config: ModelConfig, vocab: NgramVocab):
         config = config.resolve()
         self.config = config
         self.vocab = vocab
         self.vocab_hash = vocab.sha256()
-        rng = np.random.default_rng([config.seed, 0])
-
-        orders = config.feature_orders()
-        _, use_composer, bidirectional, use_crf = VARIANTS[config.variant]
-        self.bidirectional = bidirectional
-        self.embedder = SubwordEmbedder.init(
-            vocab, config.d_emb, orders=orders, use_composer=use_composer, rng=rng
-        )
-        enc_out = 2 * config.hidden if bidirectional else config.hidden
-        self.encoder: list[tuple[LstmParams, LstmParams | None]] = []
-        d_in = self.embedder.feature_width
-        for _ in range(config.num_layers):
-            fwd = LstmParams.init(d_in, config.hidden, rng)
-            bwd = LstmParams.init(d_in, config.hidden, rng) if bidirectional else None
-            self.encoder.append((fwd, bwd))
-            d_in = enc_out
-        width = config.attn_width if config.attn_width > 0 else enc_out
-        self.hidden_proj = DenseParams.init(enc_out, width, rng)
-        self.attn = AttentionParams.init(width, rng) if config.use_attention else None
-        self.out_proj = DenseParams.init(width, N_TAGS, rng)
-        self.crf = crf_mod.CrfParams.init(N_TAGS, rng) if use_crf else None
-        if self.crf is not None and not config.use_start_scores:
-            self.crf.start[:] = 0.0
+        self.bidirectional = VARIANTS[config.variant][2]
+        fresh = _named(_draw(config, vocab))
+        self.layout: dict[str, tuple[slice, tuple[int, ...]]] = {}
+        size = 0
+        for name, arr in fresh.items():
+            self.layout[name] = (slice(size, size + arr.size), arr.shape)
+            size += arr.size
+        # one tensor at a time, so each drawn array is freed once copied
+        self.theta = np.empty(size)
+        for name, (sl, _) in self.layout.items():
+            self.theta[sl] = fresh.pop(name).reshape(-1)
+        (self.embedder, self.encoder, self.hidden_proj,
+         self.attn, self.out_proj, self.crf) = self._bind(self.theta)
 
     # -- parameter bookkeeping ------------------------------------------------
 
+    def views(self, vec: Array, trainable_only: bool = True) -> dict[str, Array]:
+        """Name the parts of vec, a vector laid out like theta, in layout
+        order; trainable_only leaves out the frozen CRF start scores."""
+        if vec.shape != self.theta.shape:
+            raise ShapeMismatch(f"vector of shape {vec.shape}, parameters {self.theta.shape}")
+        skip_start = trainable_only and not self.config.use_start_scores
+        return {name: vec[sl].reshape(shape) for name, (sl, shape) in self.layout.items()
+                if not (skip_start and name == "crf.start")}
+
     def tensors(self, trainable_only: bool = True) -> dict[str, Array]:
-        out = dict(self.embedder.tensors())
-        for i, (fwd, bwd) in enumerate(self.encoder):
-            out.update(fwd.tensors(f"enc{i}.fwd."))
-            if bwd is not None:
-                out.update(bwd.tensors(f"enc{i}.bwd."))
-        out.update(self.hidden_proj.tensors("dense."))
-        if self.attn is not None:
-            out.update(self.attn.tensors("attn."))
-        out.update(self.out_proj.tensors("out."))
-        if self.crf is not None:
-            out["crf.transitions"] = self.crf.transitions
-            if self.config.use_start_scores or not trainable_only:
-                out["crf.start"] = self.crf.start
-        return out
+        return self.views(self.theta, trainable_only)
 
     def parameter_count(self) -> int:
-        return sum(int(v.size) for v in self.tensors(trainable_only=False).values())
+        return self.theta.size
+
+    def _bind(self, vec: Array) -> Layers:
+        """The network's containers with every array a view of vec."""
+        v = self.views(vec, trainable_only=False)
+
+        def part(cls, prefix: str):
+            names = [prefix + f.name for f in dataclasses.fields(cls)]
+            return cls(*(v[n] for n in names)) if names[0] in v else None
+
+        cfg = self.config
+        orders = cfg.feature_orders()
+        embedder = SubwordEmbedder(
+            dim=cfg.d_emb, orders=orders, use_composer=VARIANTS[cfg.variant][1],
+            tables={n: v[f"emb.{n}"] for n in orders},
+            fwd=part(LstmParams, "composer.fwd."), bwd=part(LstmParams, "composer.bwd."),
+        )
+        encoder = [(part(LstmParams, f"enc{i}.fwd."), part(LstmParams, f"enc{i}.bwd."))
+                   for i in range(cfg.num_layers)]
+        return Layers(embedder, encoder, part(DenseParams, "dense."), part(AttentionParams, "attn."),
+                      part(DenseParams, "out."), part(crf_mod.CrfParams, "crf."))
 
     # -- forward / backward ----------------------------------------------------
 
@@ -267,33 +346,28 @@ class Model:
             dense_cache=dense_cache, attn_cache=attn_cache, out_cache=out_cache,
         )
 
-    def _backward(self, cache: ForwardCache, dE: Array) -> dict[str, Array]:
-        grads: dict[str, Array] = {}
-        dZ, g = dense_backward(self.out_proj, cache.out_cache, dE)
-        grads.update({f"out.{k}": v for k, v in g.items()})
+    def _backward(self, cache: ForwardCache, dE: Array, grads: Layers) -> None:
+        """Write every layer's gradient into grads, containers of views of
+        one gradient vector."""
+        dZ = dense_backward(self.out_proj, cache.out_cache, dE, grads.out_proj)
         if self.attn is not None:
-            dZ, g = self_attention_backward(self.attn, cache.attn_cache, dZ)
-            grads.update({f"attn.{k}": v for k, v in g.items()})
-        dY, g = dense_backward(self.hidden_proj, cache.dense_cache, dZ)
-        grads.update({f"dense.{k}": v for k, v in g.items()})
+            dZ = self_attention_backward(self.attn, cache.attn_cache, dZ, grads.attn)
+        dY = dense_backward(self.hidden_proj, cache.dense_cache, dZ, grads.hidden_proj)
         if cache.mask_out is not None:
             dY = dY * cache.mask_out
         for i in range(len(self.encoder) - 1, -1, -1):
-            fwd, bwd = self.encoder[i]
+            (fwd, bwd), (g_f, g_b) = self.encoder[i], grads.encoder[i]
             if bwd is None:
-                dY, g_f = lstm_backward(fwd, cache.enc_caches[i], dY)
-                grads.update({f"enc{i}.fwd.{k}": v for k, v in g_f.items()})
+                dY = lstm_backward(fwd, cache.enc_caches[i], dY, g_f)
             else:
-                dY, g_f, g_b = bilstm_backward(fwd, bwd, cache.enc_caches[i], dY)
-                grads.update({f"enc{i}.fwd.{k}": v for k, v in g_f.items()})
-                grads.update({f"enc{i}.bwd.{k}": v for k, v in g_b.items()})
+                dY = bilstm_backward(fwd, bwd, cache.enc_caches[i], dY, g_f, g_b)
         if cache.mask_in is not None:
             dY = dY * cache.mask_in
-        grads.update(char_features_backward(cache.feat, dY, self.embedder))
-        return grads
+        char_features_backward(cache.feat, dY, self.embedder, grads.embedder)
 
-    def loss(self, text: str, gold: np.ndarray, mode: str = "train", seed: int | None = None) -> tuple[float, dict[str, Array]]:
-        """Sentence loss and gradients for every trainable tensor.
+    def loss(self, text: str, gold: np.ndarray, mode: str = "train", seed: int | None = None) -> tuple[float, Array]:
+        """Sentence loss and its gradient, a fresh vector laid out like
+        theta (zero at the frozen CRF start scores).
 
         CRF variants use the sequence negative log-likelihood; softmax
         variants use mean per-position cross-entropy.
@@ -301,13 +375,14 @@ class Model:
         if len(text) != len(gold):
             raise LengthMismatch(f"{len(text)} characters vs {len(gold)} tags")
         E, cache = self.emissions(text, mode=mode, seed=seed)
+        G = np.zeros_like(self.theta)
+        grads = self._bind(G)
         if self.crf is not None:
             value, cg = crf_mod.nll_loss(E, gold, self.crf)
-            dE = cg.emissions
-            grads = self._backward(cache, dE)
-            grads["crf.transitions"] = cg.transitions
+            self._backward(cache, cg.emissions, grads)
+            grads.crf.transitions[...] = cg.transitions
             if self.config.use_start_scores:
-                grads["crf.start"] = cg.start
+                grads.crf.start[...] = cg.start
         else:
             L = len(text)
             logp = log_softmax(E, axis=-1)
@@ -315,8 +390,8 @@ class Model:
             dE = softmax(E, axis=-1)
             dE[np.arange(L), gold] -= 1.0
             dE /= L
-            grads = self._backward(cache, dE)
-        return value, grads
+            self._backward(cache, dE, grads)
+        return value, G
 
     # -- inference --------------------------------------------------------------
 
@@ -378,37 +453,34 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
         raise EmptyCorpus("training split is empty")
     if not split.dev:
         raise EmptyCorpus("dev split is empty")
-    params = model.tensors()
-    opt = AdamaxState.init(params, lr=cfg.lr)
+    opt = AdamaxState.init(model.theta, lr=cfg.lr)
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[EpochRecord] = []
     best_f = -1.0
-    best_state: dict[str, Array] | None = None
+    best_theta: Array | None = None
 
     train_ids = [(s, tag_ids(t)) for s, t in split.train]
     for epoch in range(cfg.epochs):
         opt.lr = cfg.lr * (cfg.lr_decay ** epoch)
         order = rng.permutation(len(train_ids))
         total = 0.0
-        batch: dict[str, Array] | None = None
+        batch: Array | None = None
         batch_n = 0
         for si in order:
             sent, gold = train_ids[si]
             seed = int(rng.integers(0, 2**63 - 1))
-            value, grads = model.loss(sent.text, gold, mode="train", seed=seed)
+            value, G = model.loss(sent.text, gold, mode="train", seed=seed)
             total += value
             if batch is None:
-                batch = grads
-                batch_n = 1
+                batch, batch_n = G, 1
             else:
-                for k, v in grads.items():
-                    batch[k] += v
+                batch += G
                 batch_n += 1
             if batch_n >= cfg.batch_size:
-                _apply(opt, params, batch, batch_n, cfg.grad_clip)
+                _apply(model, opt, batch, batch_n, cfg.grad_clip)
                 batch, batch_n = None, 0
         if batch is not None:
-            _apply(opt, params, batch, batch_n, cfg.grad_clip)
+            _apply(model, opt, batch, batch_n, cfg.grad_clip)
         dev_p, dev_r, dev_f = _dev_metrics(model, split.dev)
         rec = EpochRecord(
             epoch=epoch, train_loss=total / len(train_ids),
@@ -419,20 +491,19 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
             progress(rec)
         if dev_f > best_f:
             best_f = dev_f
-            best_state = {k: v.copy() for k, v in model.tensors(trainable_only=False).items()}
-    if best_state is not None:
-        current = model.tensors(trainable_only=False)
-        for k, v in best_state.items():
-            current[k][...] = v
+            best_theta = model.theta.copy()
+    if best_theta is not None:
+        model.theta[...] = best_theta
     return log
 
 
-def _apply(opt: AdamaxState, params: dict[str, Array], batch: dict[str, Array], n: int, clip: float) -> None:
+def _apply(model: Model, opt: AdamaxState, batch: Array, n: int, clip: float) -> None:
     if n > 1:
-        for v in batch.values():
-            v /= n
-    clip_global_norm(batch, clip)
-    adamax_step(opt, params, batch)
+        batch /= n
+    # per-tensor sums of squares in layout order (see _named): one dot
+    # product over the vector rounds differently
+    clip_global_norm(model.views(batch), clip)
+    adamax_step(opt, model.theta, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +553,26 @@ def write_checkpoint(path, config: dict, vocab_sha256: str, metadata: dict, tens
             f.write(blob)
 
 
-def read_checkpoint(path) -> CheckpointData:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise BadMagic(f"not a checkpoint (magic {magic!r})")
-        head = f.read(12)
-        if len(head) != 12:
-            raise BadMagic("truncated checkpoint header")
-        version, header_len = struct.unpack("<IQ", head)
-        if version != CHECKPOINT_VERSION:
-            raise BadMagic(f"unsupported checkpoint version {version}")
-        header_bytes = f.read(header_len)
-        if len(header_bytes) != header_len:
-            raise BadMagic("truncated checkpoint header")
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BadMagic(f"corrupt checkpoint header: {exc}") from None
-        data = f.read()
+def _read_head(f) -> tuple[dict, dict, str, list[tuple[str, tuple[int, ...]]]]:
+    """Read and check everything before the tensor data: (config,
+    metadata, vocab_sha256, [(name, shape)] in file order). The tensors
+    must tile the rest of the file exactly, in directory order."""
+    magic = f.read(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise BadMagic(f"not a checkpoint (magic {magic!r})")
+    head = f.read(12)
+    if len(head) != 12:
+        raise BadMagic("truncated checkpoint header")
+    version, header_len = struct.unpack("<IQ", head)
+    if version != CHECKPOINT_VERSION:
+        raise BadMagic(f"unsupported checkpoint version {version}")
+    header_bytes = f.read(header_len)
+    if len(header_bytes) != header_len:
+        raise BadMagic("truncated checkpoint header")
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadMagic(f"corrupt checkpoint header: {exc}") from None
     try:
         directory = header["tensors"]
         config = header["config"]
@@ -511,31 +583,41 @@ def read_checkpoint(path) -> CheckpointData:
         raise BadMagic(f"malformed checkpoint header: {exc}") from None
     if not (isinstance(config, dict) and isinstance(metadata, dict) and isinstance(vocab_sha256, str)):
         raise BadMagic("malformed checkpoint header: bad config, metadata or vocab_sha256")
-    # the tensors must tile the data exactly, in directory order
-    tensors: dict[str, Array] = {}
+    data_len = os.fstat(f.fileno()).st_size - f.tell()
+    shapes: dict[str, tuple[int, ...]] = {}
     end = 0
     for name, shape, start in entries:
-        if not isinstance(name, str) or name in tensors:
+        if not isinstance(name, str) or name in shapes:
             raise BadMagic(f"bad or repeated tensor name {name!r}")
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise BadMagic(f"tensor {name}: shape {shape!r} is not a list of non-negative integers")
         if type(start) is not int or start != end:
             raise ShapeMismatch(f"tensor {name}: offset {start!r}, expected {end}")
         end = start + 8 * math.prod(shape)
-        if end > len(data):
+        if end > data_len:
             raise ShapeMismatch(f"tensor {name} runs past end of file")
-        arr = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).copy()
-        if not np.all(np.isfinite(arr)):
-            raise ShapeMismatch(f"tensor {name} contains non-finite values")
-        tensors[name] = arr
-    if end != len(data):
-        raise ShapeMismatch(f"{len(data) - end} bytes after the last tensor")
-    return CheckpointData(
-        config=config,
-        metadata=metadata,
-        vocab_sha256=vocab_sha256,
-        tensors=tensors,
-    )
+        shapes[name] = tuple(shape)
+    if end != data_len:
+        raise ShapeMismatch(f"{data_len - end} bytes after the last tensor")
+    return config, metadata, vocab_sha256, list(shapes.items())
+
+
+def _read_tensor(f, name: str, out: Array) -> Array:
+    """Fill out, a C-contiguous float64 array, with the next tensor's data."""
+    if f.readinto(out) != out.nbytes:
+        raise ShapeMismatch(f"tensor {name} runs past end of file")
+    if sys.byteorder != "little":
+        out.byteswap(inplace=True)
+    if not np.all(np.isfinite(out)):
+        raise ShapeMismatch(f"tensor {name} contains non-finite values")
+    return out
+
+
+def read_checkpoint(path) -> CheckpointData:
+    with open(path, "rb") as f:
+        config, metadata, vocab_sha256, entries = _read_head(f)
+        tensors = {name: _read_tensor(f, name, np.empty(shape)) for name, shape in entries}
+    return CheckpointData(config=config, metadata=metadata, vocab_sha256=vocab_sha256, tensors=tensors)
 
 
 def save_model(model: Model, path, metadata: dict | None = None) -> None:
@@ -549,21 +631,22 @@ def save_model(model: Model, path, metadata: dict | None = None) -> None:
 
 
 def load_model(path, vocab: NgramVocab) -> Model:
-    """Rebuild a model from a checkpoint, verifying shapes and vocabulary."""
-    data = read_checkpoint(path)
-    if vocab.sha256() != data.vocab_sha256:
-        raise VocabMismatch(
-            f"checkpoint was trained with vocab {data.vocab_sha256[:12]}..., "
-            f"got {vocab.sha256()[:12]}..."
-        )
-    config = ModelConfig.from_dict(data.config)
-    model = Model(config, vocab)
-    expected = model.tensors(trainable_only=False)
-    if set(expected) != set(data.tensors):
-        missing = set(expected) ^ set(data.tensors)
-        raise ShapeMismatch(f"tensor directory mismatch: {sorted(missing)}")
-    for name, arr in data.tensors.items():
-        if expected[name].shape != arr.shape:
-            raise ShapeMismatch(f"tensor {name}: {arr.shape} vs expected {expected[name].shape}")
-        expected[name][...] = arr
+    """Rebuild a model from a checkpoint, verifying shapes and vocabulary;
+    each tensor is read straight into its view of the model's theta."""
+    with open(path, "rb") as f:
+        config, _, vocab_sha256, entries = _read_head(f)
+        if vocab.sha256() != vocab_sha256:
+            raise VocabMismatch(
+                f"checkpoint was trained with vocab {vocab_sha256[:12]}..., "
+                f"got {vocab.sha256()[:12]}..."
+            )
+        model = Model(ModelConfig.from_dict(config), vocab)
+        expected = model.tensors(trainable_only=False)
+        names = {name for name, _ in entries}
+        if set(expected) != names:
+            raise ShapeMismatch(f"tensor directory mismatch: {sorted(set(expected) ^ names)}")
+        for name, shape in entries:
+            if expected[name].shape != shape:
+                raise ShapeMismatch(f"tensor {name}: {shape} vs expected {expected[name].shape}")
+            _read_tensor(f, name, expected[name])
     return model

@@ -1,23 +1,26 @@
 """Seedable float64 neural primitives with hand-derived backward passes.
 
 Everything here is deterministic given (parameters, input, seed, mode) and
-runs at 64-bit precision. Parameters live in small dataclasses of plain
-numpy arrays; each forward function returns a cache consumed by its
-backward counterpart. Gradients are returned as dicts keyed like the
-owning container's ``tensors()`` view so the optimizer and the gradient
-checker can treat every layer uniformly.
+runs at 64-bit precision. Parameters live in small dataclasses of numpy
+arrays (in a model, views of one parameter vector); each forward function
+returns a cache consumed by its backward counterpart. A backward function
+takes a second container of the parameters' class and writes the weight
+gradients into its arrays, so a model can hand it views of one gradient
+vector laid out like its parameters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable
+from typing import TypeVar
 
 import numpy as np
 
 from .errors import BadRate, NonFiniteGradient, ShapeMismatch
 
 Array = np.ndarray
+P = TypeVar("P")
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +60,14 @@ def uniform_init(rng: np.random.Generator, *shape: int, scale: float = 0.1) -> A
     return rng.uniform(-scale, scale, size=shape)
 
 
+def zeros_like(params: P) -> P:
+    """A container of params' class holding zero arrays of the same shapes."""
+    return type(params)(**{f.name: np.zeros_like(getattr(params, f.name)) for f in dataclasses.fields(params)})
+
+
 # ---------------------------------------------------------------------------
 # LSTM cell and sequence
 # ---------------------------------------------------------------------------
-
-GATE_NAMES = ("i", "f", "c", "o")
-
 
 @dataclass
 class LstmParams:
@@ -111,16 +116,6 @@ class LstmParams:
     @property
     def input_dim(self) -> int:
         return self.U_i.shape[1]
-
-    def tensors(self, prefix: str = "") -> dict[str, Array]:
-        out = {}
-        for g in GATE_NAMES:
-            out[f"{prefix}W_{g}"] = getattr(self, f"W_{g}")
-        for g in GATE_NAMES:
-            out[f"{prefix}U_{g}"] = getattr(self, f"U_{g}")
-        for g in GATE_NAMES:
-            out[f"{prefix}b_{g}"] = getattr(self, f"b_{g}")
-        return out
 
 
 @dataclass
@@ -174,9 +169,10 @@ def lstm_forward(params: LstmParams, X: Array) -> tuple[Array, LstmCache]:
     return H, LstmCache(X=X, H_prev=H_prev, C_prev=C_prev, I=I, F=F, G=G, O=O, C=C, H=H)
 
 
-def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array) -> tuple[Array, dict[str, Array]]:
+def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmParams) -> Array:
     """Backprop through lstm_forward; dH holds per-step gradients on the
-    emitted hidden states."""
+    emitted hidden states. Writes the weight gradients into grads and
+    returns the input gradient."""
     L, h_dim = cache.H.shape
     tanh_C = np.tanh(cache.C)
     dPre_i = np.empty((L, h_dim))
@@ -201,22 +197,12 @@ def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array) -> tuple[Arra
             + params.W_o.T @ dPre_o[t]
         )
         carry_dc = dc * f
-    grads = {
-        "W_i": dPre_i.T @ cache.H_prev,
-        "W_f": dPre_f.T @ cache.H_prev,
-        "W_c": dPre_g.T @ cache.H_prev,
-        "W_o": dPre_o.T @ cache.H_prev,
-        "U_i": dPre_i.T @ cache.X,
-        "U_f": dPre_f.T @ cache.X,
-        "U_c": dPre_g.T @ cache.X,
-        "U_o": dPre_o.T @ cache.X,
-        "b_i": dPre_i.sum(axis=0),
-        "b_f": dPre_f.sum(axis=0),
-        "b_c": dPre_g.sum(axis=0),
-        "b_o": dPre_o.sum(axis=0),
-    }
-    dX = dPre_i @ params.U_i + dPre_f @ params.U_f + dPre_g @ params.U_c + dPre_o @ params.U_o
-    return dX, grads
+    for dPre, W, U, b in ((dPre_i, grads.W_i, grads.U_i, grads.b_i), (dPre_f, grads.W_f, grads.U_f, grads.b_f),
+                          (dPre_g, grads.W_c, grads.U_c, grads.b_c), (dPre_o, grads.W_o, grads.U_o, grads.b_o)):
+        np.matmul(dPre.T, cache.H_prev, out=W)
+        np.matmul(dPre.T, cache.X, out=U)
+        np.sum(dPre, axis=0, out=b)
+    return dPre_i @ params.U_i + dPre_f @ params.U_f + dPre_g @ params.U_c + dPre_o @ params.U_o
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +226,12 @@ def bilstm_forward(fwd: LstmParams, bwd: LstmParams, X: Array) -> tuple[Array, B
 
 
 def bilstm_backward(
-    fwd: LstmParams, bwd: LstmParams, cache: BiLstmCache, dY: Array
-) -> tuple[Array, dict[str, Array], dict[str, Array]]:
+    fwd: LstmParams, bwd: LstmParams, cache: BiLstmCache, dY: Array, grads_f: LstmParams, grads_b: LstmParams
+) -> Array:
     h = fwd.hidden_dim
-    dX_f, grads_f = lstm_backward(fwd, cache.fwd, dY[:, :h])
-    dX_b_rev, grads_b = lstm_backward(bwd, cache.bwd, dY[:, h:][::-1])
-    return dX_f + dX_b_rev[::-1], grads_f, grads_b
+    dX_f = lstm_backward(fwd, cache.fwd, dY[:, :h], grads_f)
+    dX_b_rev = lstm_backward(bwd, cache.bwd, dY[:, h:][::-1], grads_b)
+    return dX_f + dX_b_rev[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +246,6 @@ class DenseParams:
     @classmethod
     def init(cls, d_in: int, d_out: int, rng: np.random.Generator) -> "DenseParams":
         return cls(W=uniform_init(rng, d_in, d_out), b=np.zeros(d_out))
-
-    def tensors(self, prefix: str = "") -> dict[str, Array]:
-        return {f"{prefix}W": self.W, f"{prefix}b": self.b}
 
 
 @dataclass
@@ -283,11 +266,12 @@ def dense_forward(params: DenseParams, X: Array, activation: str | None = None) 
     return Y, DenseCache(X=X, Y=Y, activation=activation)
 
 
-def dense_backward(params: DenseParams, cache: DenseCache, dY: Array) -> tuple[Array, dict[str, Array]]:
+def dense_backward(params: DenseParams, cache: DenseCache, dY: Array, grads: DenseParams) -> Array:
     if cache.activation == "tanh":
         dY = dY * (1.0 - cache.Y * cache.Y)
-    grads = {"W": cache.X.T @ dY, "b": dY.sum(axis=0)}
-    return dY @ params.W.T, grads
+    np.matmul(cache.X.T, dY, out=grads.W)
+    np.sum(dY, axis=0, out=grads.b)
+    return dY @ params.W.T
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +293,6 @@ class AttentionParams:
             W_v=uniform_init(rng, dim, dim),
             W_o=uniform_init(rng, dim, dim),
         )
-
-    def tensors(self, prefix: str = "") -> dict[str, Array]:
-        return {
-            f"{prefix}W_q": self.W_q,
-            f"{prefix}W_k": self.W_k,
-            f"{prefix}W_v": self.W_v,
-            f"{prefix}W_o": self.W_o,
-        }
 
 
 @dataclass
@@ -345,8 +321,8 @@ def self_attention(params: AttentionParams, Y: Array) -> tuple[Array, AttentionC
 
 
 def self_attention_backward(
-    params: AttentionParams, cache: AttentionCache, dZ: Array
-) -> tuple[Array, dict[str, Array]]:
+    params: AttentionParams, cache: AttentionCache, dZ: Array, grads: AttentionParams
+) -> Array:
     d = cache.Y.shape[1]
     scale = 1.0 / np.sqrt(d)
     dCtx = dZ @ params.W_o.T
@@ -356,14 +332,11 @@ def self_attention_backward(
     dS = cache.A * (dA - np.sum(dA * cache.A, axis=1, keepdims=True))
     dQ = dS @ cache.K * scale
     dK = dS.T @ cache.Q * scale
-    dY = dZ + dQ @ params.W_q.T + dK @ params.W_k.T + dV @ params.W_v.T
-    grads = {
-        "W_q": cache.Y.T @ dQ,
-        "W_k": cache.Y.T @ dK,
-        "W_v": cache.Y.T @ dV,
-        "W_o": cache.Ctx.T @ dZ,
-    }
-    return dY, grads
+    np.matmul(cache.Y.T, dQ, out=grads.W_q)
+    np.matmul(cache.Y.T, dK, out=grads.W_k)
+    np.matmul(cache.Y.T, dV, out=grads.W_v)
+    np.matmul(cache.Ctx.T, dZ, out=grads.W_o)
+    return dZ + dQ @ params.W_q.T + dK @ params.W_k.T + dV @ params.W_v.T
 
 
 # ---------------------------------------------------------------------------
@@ -417,113 +390,51 @@ def clip_global_norm(grads: dict[str, Array], threshold: float = 5.0) -> tuple[d
     return grads, norm
 
 
+# Adamax constants (Kingma & Ba, arXiv:1412.6980); the update runs over
+# blocks of this many parameters so its temporaries stay in cache
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+ADAMAX_BLOCK = 32768
+
+
 @dataclass
 class AdamaxState:
-    """First-moment and infinity-norm accumulators, one pair per parameter."""
+    """First-moment and infinity-norm accumulators, laid out like the
+    parameter vector."""
 
-    m: dict[str, Array]
-    u: dict[str, Array]
-    step: int = 0
+    m: Array
+    u: Array
     lr: float = 0.025
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    step: int = 0
 
     @classmethod
-    def init(cls, params: dict[str, Array], lr: float = 0.025, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamaxState":
-        return cls(
-            m={k: np.zeros_like(v) for k, v in params.items()},
-            u={k: np.zeros_like(v) for k, v in params.items()},
-            step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def init(cls, params: Array, lr: float = 0.025) -> "AdamaxState":
+        return cls(m=np.zeros_like(params), u=np.zeros_like(params), lr=lr)
 
 
-def adamax_step(state: AdamaxState, params: dict[str, Array], grads: dict[str, Array]) -> dict[str, Array]:
-    """In-place parameter update.
+def adamax_step(state: AdamaxState, params: Array, grads: Array) -> Array:
+    """In-place update of the parameter vector.
 
     m <- b1 m + (1-b1) g;  u <- max(b2 u, |g|);  p <- p - lr/(1-b1^t) * m/(u+eps)
     """
+    if not (params.shape == grads.shape == state.m.shape):
+        raise ShapeMismatch(f"adamax_step: params {params.shape}, grads {grads.shape}, state {state.m.shape}")
     state.step += 1
-    bias = 1.0 - state.beta1 ** state.step
-    for name, g in grads.items():
-        p = params[name]
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"adamax_step: {name} param {p.shape} vs grad {g.shape}")
-        m = state.m[name]
-        u = state.u[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        np.maximum(state.beta2 * u, np.abs(g), out=u)
-        p -= (state.lr / bias) * m / (u + state.eps)
+    rate = state.lr / (1.0 - BETA1 ** state.step)
+    t1 = np.empty(min(ADAMAX_BLOCK, params.size))
+    t2 = np.empty_like(t1)
+    for lo in range(0, params.size, ADAMAX_BLOCK):
+        blk = slice(lo, lo + ADAMAX_BLOCK)
+        p, g, m, u = params[blk], grads[blk], state.m[blk], state.u[blk]
+        a, b = t1[: p.size], t2[: p.size]
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=a)
+        m += a
+        u *= BETA2
+        np.maximum(u, np.abs(g, out=a), out=u)
+        np.multiply(m, rate, out=a)
+        np.add(u, EPS, out=b)
+        a /= b
+        p -= a
     return params
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checker
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    passed: bool
-    max_rel_err: float
-    n_checked: int
-    tolerance: float
-    worst: tuple[str, int, float, float] | None  # (tensor, flat index, analytic, numeric)
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        head = f"grad_check {status}: max rel err {self.max_rel_err:.3e} over {self.n_checked} coords"
-        if self.worst is not None:
-            name, idx, a, n = self.worst
-            head += f" (worst {name}[{idx}]: analytic {a:.6e}, numeric {n:.6e})"
-        return head
-
-
-def grad_check(
-    loss_and_grads: Callable[[], tuple[float, dict[str, Array]]],
-    params: dict[str, Array],
-    n_per_tensor: int = 4,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``loss_and_grads`` must read the arrays in ``params`` (the checker
-    perturbs them in place) and be deterministic across calls. Relative
-    error uses a floor of 1e-4 in the denominator so finite-difference
-    noise on near-zero coordinates cannot fail the check.
-    """
-    rng = np.random.default_rng(seed)
-    _, analytic = loss_and_grads()
-    max_rel = 0.0
-    worst = None
-    n_checked = 0
-    for name, p in params.items():
-        if name not in analytic:
-            continue
-        flat = p.reshape(-1)
-        k = min(n_per_tensor, flat.size)
-        idxs = rng.choice(flat.size, size=k, replace=False)
-        for idx in idxs:
-            orig = flat[idx]
-            flat[idx] = orig + step
-            loss_plus, _ = loss_and_grads()
-            flat[idx] = orig - step
-            loss_minus, _ = loss_and_grads()
-            flat[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            a = float(analytic[name].reshape(-1)[idx])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
-            n_checked += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = (name, int(idx), a, float(numeric))
-    return GradCheckReport(
-        passed=max_rel < tolerance,
-        max_rel_err=max_rel,
-        n_checked=n_checked,
-        tolerance=tolerance,
-        worst=worst,
-    )

@@ -14,6 +14,7 @@ token vector.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
@@ -21,9 +22,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import WHITESPACE, _token_spans
+from .corpus import WHITESPACE, _token_spans, utf8_lines
 from .errors import BadEscape, BadTag, EmptyCorpus, LengthMismatch, UninitializedEmbedder
-from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward, uniform_init
+from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward, uniform_init, zeros_like
 
 Array = np.ndarray
 
@@ -110,29 +111,30 @@ class NgramVocab:
         maps: dict[int, dict[str, int]] = {}
         freqs: dict[int, dict[str, int]] = {}
         min_freq: dict[int, int] = {}
-        with open(path, "r", encoding="utf-8", newline="\n") as f:
-            header = f.readline().rstrip("\n")
-            if header != _VOCAB_HEADER:
-                raise BadTag(1, f"bad vocab header {header!r}")
-            for line_no, line in enumerate(f, start=2):
-                line = line.rstrip("\n")
-                if not line:
+        lines = utf8_lines(path, newline="\n")
+        _, header = next(lines, (1, ""))
+        header = header.rstrip("\n")
+        if header != _VOCAB_HEADER:
+            raise BadTag(1, f"bad vocab header {header!r}")
+        for line_no, line in lines:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                if line.startswith("#min_freq\t"):
+                    _, n_str, mf = line.split("\t")
+                    min_freq[int(n_str)] = int(mf)
                     continue
-                try:
-                    if line.startswith("#min_freq\t"):
-                        _, n_str, mf = line.split("\t")
-                        min_freq[int(n_str)] = int(mf)
-                        continue
-                    parts = line.split("\t")
-                    if len(parts) != 4:
-                        raise ValueError("wrong field count")
-                    n = int(parts[0])
-                    gram = _unescape_ngram(parts[1], line_no)
-                    gid = int(parts[2])
-                    maps.setdefault(n, {})[gram] = gid
-                    freqs.setdefault(n, {})[gram] = int(parts[3])
-                except ValueError as exc:
-                    raise BadTag(line_no, f"expected <n>\\t<ngram>\\t<id>\\t<freq>: {exc}") from None
+                parts = line.split("\t")
+                if len(parts) != 4:
+                    raise ValueError("wrong field count")
+                n = int(parts[0])
+                gram = _unescape_ngram(parts[1], line_no)
+                gid = int(parts[2])
+                maps.setdefault(n, {})[gram] = gid
+                freqs.setdefault(n, {})[gram] = int(parts[3])
+            except ValueError as exc:
+                raise BadTag(line_no, f"expected <n>\\t<ngram>\\t<id>\\t<freq>: {exc}") from None
         orders = tuple(sorted(min_freq))
         for n in orders:
             maps.setdefault(n, {})
@@ -243,13 +245,6 @@ class SubwordEmbedder:
                     f"order-{n} table {self.tables[n].shape} does not match vocab size {vocab.size(n)}"
                 )
 
-    def tensors(self, prefix: str = "") -> dict[str, Array]:
-        out = {f"{prefix}emb.{n}": self.tables[n] for n in self.orders}
-        if self.use_composer:
-            out.update(self.fwd.tensors(f"{prefix}composer.fwd."))
-            out.update(self.bwd.tensors(f"{prefix}composer.bwd."))
-        return out
-
 
 @dataclass
 class ComposerCache:
@@ -323,34 +318,29 @@ def char_features_cached(text: str, vocab: NgramVocab, embedder: SubwordEmbedder
     return F, FeatureCache(text=text, ids=ids, spans=spans, composers=composers, width=embedder.feature_width)
 
 
-def char_features_backward(cache: FeatureCache, dF: Array, embedder: SubwordEmbedder) -> dict[str, Array]:
-    """Scatter feature gradients into embedding tables and composer weights."""
+def char_features_backward(cache: FeatureCache, dF: Array, embedder: SubwordEmbedder, grads: SubwordEmbedder) -> None:
+    """Scatter feature gradients into the embedding tables and composer
+    weights of grads, adding to what they hold."""
     if dF.shape != (len(cache.text), cache.width):
         raise LengthMismatch(f"feature grad {dF.shape} vs cache ({len(cache.text)}, {cache.width})")
     dim = embedder.dim
-    grads: dict[str, Array] = {f"emb.{n}": np.zeros_like(embedder.tables[n]) for n in embedder.orders}
     col = 0
     for n in embedder.orders:
-        np.add.at(grads[f"emb.{n}"], cache.ids[n], dF[:, col : col + dim])
+        np.add.at(grads.tables[n], cache.ids[n], dF[:, col : col + dim])
         col += dim
     if embedder.use_composer:
-        comp_grads_f = {k: np.zeros_like(v) for k, v in embedder.fwd.tensors().items()}
-        comp_grads_b = {k: np.zeros_like(v) for k, v in embedder.bwd.tensors().items()}
+        token_f, token_b = zeros_like(embedder.fwd), zeros_like(embedder.bwd)
         for (a, b), cc in zip(cache.spans, cache.composers):
             d_vec = dF[a:b, col:].sum(axis=0)
             dY = np.zeros((b - a, 2 * dim))
             dY[-1, :dim] = d_vec[:dim]
             dY[0, dim:] = d_vec[dim:]
-            dX, g_f, g_b = bilstm_backward(embedder.fwd, embedder.bwd, cc.lstm, dY)
-            for k in comp_grads_f:
-                comp_grads_f[k] += g_f[k]
-                comp_grads_b[k] += g_b[k]
+            dX = bilstm_backward(embedder.fwd, embedder.bwd, cc.lstm, dY, token_f, token_b)
+            for total, token in ((grads.fwd, token_f), (grads.bwd, token_b)):
+                for f in dataclasses.fields(LstmParams):
+                    acc = getattr(total, f.name)
+                    acc += getattr(token, f.name)
             c2 = 0
             for n in embedder.orders:
-                np.add.at(grads[f"emb.{n}"], cc.ids[n], dX[:, c2 : c2 + dim])
+                np.add.at(grads.tables[n], cc.ids[n], dX[:, c2 : c2 + dim])
                 c2 += dim
-        for k, v in comp_grads_f.items():
-            grads[f"composer.fwd.{k}"] = v
-        for k, v in comp_grads_b.items():
-            grads[f"composer.bwd.{k}"] = v
-    return grads

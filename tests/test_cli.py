@@ -99,7 +99,6 @@ def test_train_dump_config_defaults(capsys, tmp_path):
     assert dump["lr"] == "0.025"
     assert dump["grad_clip"] == "5.0"
     assert dump["epochs"] == "40"
-    assert dump["optimizer"] == "adamax"
     assert dump["use_attention"] == "True"
     assert dump["constrained_decode"] == "True"
 
@@ -282,3 +281,38 @@ def test_inspect_bad_tensor_directory(trained, tmp_path, edit, trailing):
     ckpt = tmp_path / "checkpoint.bin"
     edit_checkpoint(trained / "checkpoint.bin", ckpt, edit, trailing)
     assert main(["inspect", str(ckpt)]) == 2
+    # load_model shares the directory checks
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd\n", encoding="utf-8")
+    code = main(["segment", "--checkpoint", str(ckpt), "--vocab", str(trained / "vocab.tsv"),
+                 "--input", str(inp), "--output", str(tmp_path / "out.txt")])
+    assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# invalid UTF-8 in each reader
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("reader", ["labeled", "vocab", "segment-input", "config"])
+def test_invalid_utf8_exit_code(trained, prepared, tmp_path, capsys, reader):
+    bad = tmp_path / "bad"
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd\n", encoding="utf-8")
+    segment = ["segment", "--checkpoint", str(trained / "checkpoint.bin"), "--input", str(inp),
+               "--output", str(tmp_path / "out.txt")]
+    if reader == "labeled":
+        bad.write_bytes(b"a\tB\nb\tE\n\xff\tS\n")
+        argv, code, line = ["evaluate", "--oracle", "--data", str(bad)], 2, 3
+    elif reader == "vocab":
+        vocab = (trained / "vocab.tsv").read_bytes()
+        bad.write_bytes(vocab + b"1\t\xff\t999\t1\n")
+        argv, code, line = segment + ["--vocab", str(bad)], 2, vocab.count(b"\n") + 1
+    elif reader == "segment-input":
+        inp.write_bytes(b"ab cd\n\xfe\xff\n")
+        argv, code, line = segment, 2, 2
+    else:
+        bad.write_bytes(b"hidden=8\nlr=\xff\n")
+        argv, code, line = ["train", str(prepared), "--dump-config", "--config", str(bad)], 1, 2
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert f"line {line}: invalid UTF-8" in err, err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charseg.errors import EmptyCorpus, UninitializedEmbedder
-from charseg.nncore import LstmParams, grad_check
+from charseg.nncore import LstmParams, zeros_like
 from charseg.subword import (
     FILLER,
     PAD_ID,
@@ -24,9 +25,17 @@ from charseg.subword import (
     extract_ngrams,
 )
 
+from oracles import grad_check, named
+
 
 def small_vocab(sentences=("ab abc a", "abc ab")):
     return build_vocab(sentences, min_freq={1: 1, 2: 1, 3: 1, 4: 1})
+
+
+def embedder_tensors(emb):
+    """Tables, then composer weights, under their checkpoint names."""
+    return {**{f"emb.{n}": emb.tables[n] for n in emb.orders},
+            **named(emb.fwd, "composer.fwd."), **named(emb.bwd, "composer.bwd.")}
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,7 @@ def test_compose_zero_params_zero_output(rng):
     for n in emb.orders:
         emb.tables[n][:] = 0.0
     for p in (emb.fwd, emb.bwd):
-        for arr in p.tensors().values():
+        for arr in named(p).values():
             arr[:] = 0.0
     vec = compose_subword("abc", vocab, emb)
     np.testing.assert_array_equal(vec, np.zeros(8))
@@ -290,14 +299,17 @@ def test_features_backward_grad_check(rng):
     vocab = small_vocab()
     emb = SubwordEmbedder.init(vocab, dim=3, rng=rng)
     text = "ab abc"
-    params = emb.tensors()
+    params = embedder_tensors(emb)
     W = rng.normal(size=(emb.feature_width,))
 
     def loss_and_grads():
         F, cache = char_features_cached(text, vocab, emb)
         loss = float(((F @ W) ** 2).sum())
         dF = 2 * (F @ W)[:, None] * W[None, :]
-        return loss, char_features_backward(cache, dF, emb)
+        grads = dataclasses.replace(emb, tables={n: np.zeros_like(t) for n, t in emb.tables.items()},
+                                    fwd=zeros_like(emb.fwd), bwd=zeros_like(emb.bwd))
+        char_features_backward(cache, dF, emb, grads)
+        return loss, embedder_tensors(grads)
 
     report = grad_check(loss_and_grads, params, n_per_tensor=5, seed=3)
     assert report.passed, str(report)
