@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Digests of a model's numbers, to show that two commits compute the same
+bits.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bit_digest.py
+
+prints one line per case: variant, size (d_emb/hidden) and a sha256 over
+
+- the float64 bits of ``Model.loss`` on fixed sentences, in train mode
+  (fixed dropout seeds) and in eval mode;
+- the gradient names (``Model.views``) and the bytes of each gradient;
+- the tag strings ``predict`` returns for those sentences;
+- the per-epoch training losses and the bytes of ``theta`` after
+  ``train`` for 2 epochs.
+
+Run it with the same arguments on both commits: equal lines mean equal
+numbers. Where the arithmetic may round differently, ``--save FILE`` keeps
+the raw losses and gradients of a run and ``--against FILE`` prints, per
+case, the worst relative loss difference and the worst gradient difference
+relative to the gradient's largest entry against such a file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import struct
+
+import numpy as np
+
+from charseg.corpus import tag_ids
+from charseg.model import Model, ModelConfig, train
+from charseg.subword import build_vocab
+from charseg.synth import make_split
+
+VARIANTS = {
+    "sgnws": {},
+    "bilstm_crf_char": {"variant": "bilstm_crf_char"},
+    "lstm_softmax": {"variant": "lstm_softmax"},
+    "sgnws-2layer": {"num_layers": 2},
+}
+SIZES = "8/12,32/64,64/200"
+N_SENTENCES = 4
+
+
+def run_case(split, vocab, size: str, overrides: dict) -> tuple[str, np.ndarray, np.ndarray]:
+    """(digest, losses, concatenated gradients) of one case."""
+    d_emb, hidden = (int(v) for v in size.split("/"))
+    cfg = ModelConfig(d_emb=d_emb, hidden=hidden, epochs=2, seed=0, **overrides)
+    model = Model(cfg, vocab)
+    digest = hashlib.sha256()
+    losses, grads = [], []
+    for k, (sent, tags) in enumerate(split.train[:N_SENTENCES]):
+        for mode, seed in (("train", 100 + k), ("eval", None)):
+            value, G = model.loss(sent.text, tag_ids(tags), mode=mode, seed=seed)
+            digest.update(struct.pack("<d", value))
+            for name, g in model.views(G).items():
+                digest.update(name.encode() + g.tobytes())
+            losses.append(value)
+            grads.append(G)
+        digest.update(model.predict(sent.text).encode())
+    for rec in train(model, split):
+        digest.update(struct.pack("<d", rec.train_loss))
+    digest.update(model.theta.tobytes())
+    return digest.hexdigest(), np.array(losses), np.concatenate(grads)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--sizes", default=SIZES, help=f"comma-separated d_emb/hidden pairs (default {SIZES})")
+    ap.add_argument("--save", help="write the raw losses and gradients to this .npz file")
+    ap.add_argument("--against", help="compare with the losses and gradients in this .npz file")
+    args = ap.parse_args()
+
+    split = make_split(n_train=6, n_dev=3, lexicon_seed=5, sentence_seed=6, n_words=40)
+    vocab = build_vocab([s.text for s, _ in split.train])
+    saved = dict(np.load(args.against)) if args.against else None
+    raw = {}
+    for size in args.sizes.split(","):
+        for name, overrides in VARIANTS.items():
+            digest, losses, grads = run_case(split, vocab, size, overrides)
+            line = f"{name:<16} {size:<7} {digest}"
+            case = f"{name}@{size}"
+            raw[case + ".loss"], raw[case + ".grad"] = losses, grads
+            if saved is not None:
+                ref_l, ref_g = saved[case + ".loss"], saved[case + ".grad"]
+                loss_rel = float(np.max(np.abs(losses - ref_l) / np.abs(ref_l)))
+                grad_rel = float(np.max(np.abs(grads - ref_g)) / np.max(np.abs(ref_g)))
+                line += f"  loss rel {loss_rel:.2e}  grad rel {grad_rel:.2e}"
+            print(line, flush=True)
+    if args.save:
+        np.savez(args.save, **raw)
+
+
+if __name__ == "__main__":
+    main()

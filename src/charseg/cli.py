@@ -9,6 +9,7 @@ with precedence flag > file > default. All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import shutil
 import sys
@@ -168,10 +169,11 @@ def _load_model(args) -> model_mod.Model:
 
 def cmd_segment(args) -> int:
     net = _load_model(args)
-    out = open(args.output, "w", encoding="utf-8", newline="\n") if args.output != "-" else sys.stdout
     tagged: list[tuple[corpus.Sentence, str]] = []
     repairs = 0
-    try:
+    output = (contextlib.nullcontext(sys.stdout) if args.output == "-"
+              else corpus.replace_on_success(args.output, "w", encoding="utf-8", newline="\n"))
+    with output as out:
         for _, line in corpus.utf8_lines(args.input):
             text = corpus.normalize_text(line.rstrip("\n")).strip()
             if not text:
@@ -183,9 +185,6 @@ def cmd_segment(args) -> int:
             out.write(" ".join(tokens) + "\n")
             if args.emit_tags:
                 tagged.append((corpus.Sentence(text=text), tags))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.emit_tags:
         corpus.write_labeled(args.emit_tags, tagged)
     print(f"repairs: {repairs}", file=sys.stderr)

@@ -13,10 +13,12 @@ writers serialize.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +85,27 @@ def utf8_lines(path, newline: str | None = None) -> Iterator[tuple[int, str]]:
                     except UnicodeDecodeError as exc:
                         raise InvalidUtf8(exc.start, exc.reason, line=line_no) from None
             yield line_no, line
+
+
+@contextlib.contextmanager
+def replace_on_success(path, mode: str, **open_kwargs) -> Iterator[IO]:
+    """Write through a temp file beside path, moved onto it when the block
+    completes: a run failing midway leaves no partial file and no temp
+    file. An existing path that is not a regular file is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **open_kwargs) as f:
+            yield f
+        return
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _token_spans(text: str) -> list[tuple[int, int]]:

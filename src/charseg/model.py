@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import crf as crf_mod
-from .corpus import N_TAGS, WHITESPACE, DatasetSplit, Sentence, ids_to_tags, tag_ids
+from .corpus import N_TAGS, WHITESPACE, DatasetSplit, Sentence, ids_to_tags, replace_on_success, tag_ids
 from .errors import BadConfig, BadMagic, EmptyCorpus, LengthMismatch, ShapeMismatch, VocabMismatch
 from .metrics import tag_prf
 from .nncore import (
@@ -202,9 +202,21 @@ class Layers(NamedTuple):
     crf: crf_mod.CrfParams | None
 
 
-def _draw(config: ModelConfig, vocab: NgramVocab) -> Layers:
+class _ShapesOnly:
+    """Stands in for the initializers' generator when every value will be
+    overwritten: each draw is an uninitialized array of the right shape."""
+
+    @staticmethod
+    def uniform(low: float, high: float, size) -> Array:
+        return np.empty(size)
+
+
+# checkpoint names of the LSTM gate blocks, in stacking order
+GATES = "ifco"
+
+
+def _draw(config: ModelConfig, vocab: NgramVocab, rng) -> Layers:
     """Freshly initialized containers; the draws run embedder first."""
-    rng = np.random.default_rng([config.seed, 0])
     _, use_composer, bidirectional, use_crf = VARIANTS[config.variant]
     embedder = SubwordEmbedder.init(
         vocab, config.d_emb, orders=config.feature_orders(), use_composer=use_composer, rng=rng
@@ -235,7 +247,11 @@ def _named(layers: Layers) -> dict[str, Array]:
     out: dict[str, Array] = {}
 
     def put(prefix: str, p) -> None:
-        if p is not None:
+        if isinstance(p, LstmParams):  # one tensor per gate block: W_i .. W_o
+            n = p.hidden_dim
+            out.update((f"{prefix}{f.name}_{g}", getattr(p, f.name)[k * n : (k + 1) * n])
+                       for f in dataclasses.fields(p) for k, g in enumerate(GATES))
+        elif p is not None:
             out.update((prefix + f.name, getattr(p, f.name)) for f in dataclasses.fields(p))
 
     put("out.", layers.out_proj)
@@ -260,22 +276,23 @@ class Model:
     are views of it.
     """
 
-    def __init__(self, config: ModelConfig, vocab: NgramVocab):
+    def __init__(self, config: ModelConfig, vocab: NgramVocab, draw: bool = True):
+        """With draw False, theta is left uninitialized for a loader that
+        writes every tensor."""
         config = config.resolve()
         self.config = config
         self.vocab = vocab
-        self.vocab_hash = vocab.sha256()
-        self.bidirectional = VARIANTS[config.variant][2]
-        fresh = _named(_draw(config, vocab))
+        rng = np.random.default_rng([config.seed, 0]) if draw else _ShapesOnly()
+        fresh = _named(_draw(config, vocab, rng))
         self.layout: dict[str, tuple[slice, tuple[int, ...]]] = {}
         size = 0
         for name, arr in fresh.items():
             self.layout[name] = (slice(size, size + arr.size), arr.shape)
             size += arr.size
-        # one tensor at a time, so each drawn array is freed once copied
         self.theta = np.empty(size)
-        for name, (sl, _) in self.layout.items():
-            self.theta[sl] = fresh.pop(name).reshape(-1)
+        if draw:  # one tensor at a time, so each drawn array is freed once copied
+            for name, (sl, _) in self.layout.items():
+                self.theta[sl] = fresh.pop(name).reshape(-1)
         (self.embedder, self.encoder, self.hidden_proj,
          self.attn, self.out_proj, self.crf) = self._bind(self.theta)
 
@@ -299,6 +316,10 @@ class Model:
     def _bind(self, vec: Array) -> Layers:
         """The network's containers with every array a view of vec."""
         v = self.views(vec, trainable_only=False)
+        # an LSTM's stacked W, U and b each span its four gate tensors
+        for name, (sl, shape) in self.layout.items():
+            if name.endswith("_" + GATES[0]):
+                v[name[:-2]] = vec[sl.start : self.layout[name[:-1] + GATES[-1]][0].stop].reshape(-1, *shape[1:])
 
         def part(cls, prefix: str):
             names = [prefix + f.name for f in dataclasses.fields(cls)]
@@ -318,11 +339,8 @@ class Model:
 
     # -- forward / backward ----------------------------------------------------
 
-    def _dropout_rng(self, seed: int | None) -> np.random.Generator | None:
-        return None if seed is None else np.random.default_rng(seed)
-
     def emissions(self, text: str, mode: str = "eval", seed: int | None = None) -> tuple[Array, ForwardCache]:
-        rng = self._dropout_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         F, feat_cache = char_features_cached(text, self.vocab, self.embedder)
         drop = self.config.dropout
         X, mask_in = variational_dropout(F, drop, mode, rng)
@@ -527,16 +545,14 @@ class CheckpointData:
 
 
 def write_checkpoint(path, config: dict, vocab_sha256: str, metadata: dict, tensors: dict[str, Array]) -> None:
+    """Write through a temp file beside path, streaming each tensor from
+    its own memory, so a model's parameters are never copied."""
     names = sorted(tensors)
     directory = []
     offset = 0
-    blobs = []
     for name in names:
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-        blob = arr.astype("<f8").tobytes()
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+        directory.append({"name": name, "shape": list(np.shape(tensors[name])), "offset": offset})
+        offset += 8 * np.size(tensors[name])
     header = {
         "config": config,
         "metadata": metadata,
@@ -544,13 +560,13 @@ def write_checkpoint(path, config: dict, vocab_sha256: str, metadata: dict, tens
         "vocab_sha256": vocab_sha256,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with replace_on_success(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+        for name in names:
+            f.write(np.ascontiguousarray(tensors[name], dtype="<f8"))
 
 
 def _read_head(f) -> tuple[dict, dict, str, list[tuple[str, tuple[int, ...]]]]:
@@ -624,7 +640,7 @@ def save_model(model: Model, path, metadata: dict | None = None) -> None:
     write_checkpoint(
         path,
         config=model.config.to_dict(),
-        vocab_sha256=model.vocab_hash,
+        vocab_sha256=model.vocab.sha256(),
         metadata=metadata or {},
         tensors=model.tensors(trainable_only=False),
     )
@@ -632,7 +648,8 @@ def save_model(model: Model, path, metadata: dict | None = None) -> None:
 
 def load_model(path, vocab: NgramVocab) -> Model:
     """Rebuild a model from a checkpoint, verifying shapes and vocabulary;
-    each tensor is read straight into its view of the model's theta."""
+    each tensor is read straight into its view of the model's theta, and
+    the directory check guarantees every view is written."""
     with open(path, "rb") as f:
         config, _, vocab_sha256, entries = _read_head(f)
         if vocab.sha256() != vocab_sha256:
@@ -640,7 +657,7 @@ def load_model(path, vocab: NgramVocab) -> Model:
                 f"checkpoint was trained with vocab {vocab_sha256[:12]}..., "
                 f"got {vocab.sha256()[:12]}..."
             )
-        model = Model(ModelConfig.from_dict(config), vocab)
+        model = Model(ModelConfig.from_dict(config), vocab, draw=False)
         expected = model.tensors(trainable_only=False)
         names = {name for name, _ in entries}
         if set(expected) != names:

@@ -28,13 +28,10 @@ P = TypeVar("P")
 # ---------------------------------------------------------------------------
 
 def sigmoid(x: Array) -> Array:
-    # split by sign so exp never overflows
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; same bits as splitting by sign
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def logsumexp(x: Array, axis: int = -1) -> Array:
@@ -71,64 +68,41 @@ def zeros_like(params: P) -> P:
 
 @dataclass
 class LstmParams:
-    """One direction's LSTM weights.
+    """One direction's LSTM weights, the gates stacked in the order i, f,
+    c, o: block k of rows [k*h, (k+1)*h) belongs to gate k.
 
-    ``W_*`` act on the previous hidden state (hidden x hidden), ``U_*`` on
-    the current input (hidden x input_dim), ``b_*`` are gate biases. The
-    forget bias starts at 1.0 so early cells do not vanish.
+    ``W`` acts on the previous hidden state (4h x h), ``U`` on the current
+    input (4h x input_dim), ``b`` holds the gate biases (4h). The forget
+    bias starts at 1.0 so early cells do not vanish.
     """
 
-    W_i: Array
-    W_f: Array
-    W_c: Array
-    W_o: Array
-    U_i: Array
-    U_f: Array
-    U_c: Array
-    U_o: Array
-    b_i: Array
-    b_f: Array
-    b_c: Array
-    b_o: Array
+    W: Array
+    U: Array
+    b: Array
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LstmParams":
-        h, d = hidden_dim, input_dim
-        return cls(
-            W_i=uniform_init(rng, h, h),
-            W_f=uniform_init(rng, h, h),
-            W_c=uniform_init(rng, h, h),
-            W_o=uniform_init(rng, h, h),
-            U_i=uniform_init(rng, h, d),
-            U_f=uniform_init(rng, h, d),
-            U_c=uniform_init(rng, h, d),
-            U_o=uniform_init(rng, h, d),
-            b_i=np.zeros(h),
-            b_f=np.ones(h),
-            b_c=np.zeros(h),
-            b_o=np.zeros(h),
-        )
+        h = hidden_dim
+        b = np.repeat([0.0, 1.0, 0.0, 0.0], h)  # gates i, f, c, o
+        return cls(W=uniform_init(rng, 4 * h, h), U=uniform_init(rng, 4 * h, input_dim), b=b)
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_i.shape[0]
+        return self.W.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.U_i.shape[1]
+        return self.U.shape[1]
 
 
 @dataclass
 class LstmCache:
     X: Array        # (L, d) inputs
+    A: Array        # (L, 4h) gate activations i, f, g, o side by side
     H_prev: Array   # (L, h) hidden state entering each step
     C_prev: Array   # (L, h) cell state entering each step
-    I: Array
-    F: Array
-    G: Array
-    O: Array
-    C: Array        # (L, h) cell state after each step
     H: Array        # (L, h) hidden state after each step
+    C: Array        # (L, h) cell state after each step
 
 
 def lstm_forward(params: LstmParams, X: Array) -> tuple[Array, LstmCache]:
@@ -141,32 +115,26 @@ def lstm_forward(params: LstmParams, X: Array) -> tuple[Array, LstmCache]:
     output gate  o = sigmoid(W_o h + U_o x + b_o)
     cell         c' = f * c + i * g
     hidden       h' = o * tanh(c')
+
+    with W_i the first h rows of W and so on; one step takes one product
+    with each of W and U.
     """
     L = X.shape[0]
-    h_dim = params.hidden_dim
+    h = params.hidden_dim
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ShapeMismatch(f"lstm_forward: X {X.shape}, expected (L, {params.input_dim})")
-    H_prev = np.empty((L, h_dim))
-    C_prev = np.empty((L, h_dim))
-    I = np.empty((L, h_dim))
-    F = np.empty((L, h_dim))
-    G = np.empty((L, h_dim))
-    O = np.empty((L, h_dim))
-    C = np.empty((L, h_dim))
-    H = np.empty((L, h_dim))
-    h, c = np.zeros(h_dim), np.zeros(h_dim)
+    A = np.empty((L, 4 * h))
+    HS = np.zeros((L + 1, h))  # row t is the state entering step t
+    CS = np.zeros((L + 1, h))
+    i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
     for t in range(L):
-        H_prev[t] = h
-        C_prev[t] = c
-        x = X[t]
-        i = sigmoid(params.W_i @ h + params.U_i @ x + params.b_i)
-        f = sigmoid(params.W_f @ h + params.U_f @ x + params.b_f)
-        g = np.tanh(params.W_c @ h + params.U_c @ x + params.b_c)
-        o = sigmoid(params.W_o @ h + params.U_o @ x + params.b_o)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        I[t], F[t], G[t], O[t], C[t], H[t] = i, f, g, o, c, h
-    return H, LstmCache(X=X, H_prev=H_prev, C_prev=C_prev, I=I, F=F, G=G, O=O, C=C, H=H)
+        pre = params.W @ HS[t] + params.U @ X[t] + params.b
+        a = A[t]
+        a[:] = sigmoid(pre)
+        a[g] = np.tanh(pre[g])
+        CS[t + 1] = a[f] * CS[t] + a[i] * a[g]
+        HS[t + 1] = a[o] * np.tanh(CS[t + 1])
+    return HS[1:], LstmCache(X=X, A=A, H_prev=HS[:-1], C_prev=CS[:-1], H=HS[1:], C=CS[1:])
 
 
 def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmParams) -> Array:
@@ -175,34 +143,31 @@ def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmPa
     returns the input gradient."""
     L, h_dim = cache.H.shape
     tanh_C = np.tanh(cache.C)
-    dPre_i = np.empty((L, h_dim))
-    dPre_f = np.empty((L, h_dim))
-    dPre_g = np.empty((L, h_dim))
-    dPre_o = np.empty((L, h_dim))
+    blocks = [slice(k * h_dim, (k + 1) * h_dim) for k in range(4)]
+    # the recurrent and input products stay one per gate, summed in gate
+    # order: one product over the stacked blocks rounds differently
+    W_T = [params.W[blk].T for blk in blocks]
+    dP = np.empty((L, 4 * h_dim))
+    I, F, G, O = (cache.A[:, blk] for blk in blocks)
+    dI, dF, dG, dO = (dP[:, blk] for blk in blocks)
     carry_dh = np.zeros(h_dim)
     carry_dc = np.zeros(h_dim)
     for t in range(L - 1, -1, -1):
         dh = dH[t] + carry_dh
-        i, f, g, o = cache.I[t], cache.F[t], cache.G[t], cache.O[t]
+        i, f, g, o = I[t], F[t], G[t], O[t]
         tc = tanh_C[t]
         dc = carry_dc + dh * o * (1.0 - tc * tc)
-        dPre_o[t] = (dh * tc) * o * (1.0 - o)
-        dPre_f[t] = (dc * cache.C_prev[t]) * f * (1.0 - f)
-        dPre_i[t] = (dc * g) * i * (1.0 - i)
-        dPre_g[t] = (dc * i) * (1.0 - g * g)
-        carry_dh = (
-            params.W_i.T @ dPre_i[t]
-            + params.W_f.T @ dPre_f[t]
-            + params.W_c.T @ dPre_g[t]
-            + params.W_o.T @ dPre_o[t]
-        )
+        dO[t] = (dh * tc) * o * (1.0 - o)
+        dF[t] = (dc * cache.C_prev[t]) * f * (1.0 - f)
+        dI[t] = (dc * g) * i * (1.0 - i)
+        dG[t] = (dc * i) * (1.0 - g * g)
+        carry_dh = W_T[0] @ dI[t] + W_T[1] @ dF[t] + W_T[2] @ dG[t] + W_T[3] @ dO[t]
         carry_dc = dc * f
-    for dPre, W, U, b in ((dPre_i, grads.W_i, grads.U_i, grads.b_i), (dPre_f, grads.W_f, grads.U_f, grads.b_f),
-                          (dPre_g, grads.W_c, grads.U_c, grads.b_c), (dPre_o, grads.W_o, grads.U_o, grads.b_o)):
-        np.matmul(dPre.T, cache.H_prev, out=W)
-        np.matmul(dPre.T, cache.X, out=U)
-        np.sum(dPre, axis=0, out=b)
-    return dPre_i @ params.U_i + dPre_f @ params.U_f + dPre_g @ params.U_c + dPre_o @ params.U_o
+    np.matmul(dP.T, cache.H_prev, out=grads.W)
+    np.matmul(dP.T, cache.X, out=grads.U)
+    np.sum(dP, axis=0, out=grads.b)
+    U_i, U_f, U_c, U_o = (params.U[blk] for blk in blocks)
+    return dI @ U_i + dF @ U_f + dG @ U_c + dO @ U_o
 
 
 # ---------------------------------------------------------------------------

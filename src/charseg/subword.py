@@ -14,7 +14,6 @@ token vector.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
@@ -252,14 +251,9 @@ class ComposerCache:
     lstm: BiLstmCache
 
 
-def _token_input(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> tuple[dict[int, np.ndarray], Array]:
+def _compose(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> tuple[Array, ComposerCache]:
     ids = {n: vocab.anchored_ids(token, n) for n in embedder.orders}
     X = np.hstack([embedder.tables[n][ids[n]] for n in embedder.orders])
-    return ids, X
-
-
-def _compose(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> tuple[Array, ComposerCache]:
-    ids, X = _token_input(token, vocab, embedder)
     Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X)
     d = embedder.dim
     vec = np.concatenate([Y[-1, :d], Y[0, d:]])
@@ -337,9 +331,9 @@ def char_features_backward(cache: FeatureCache, dF: Array, embedder: SubwordEmbe
             dY[0, dim:] = d_vec[dim:]
             dX = bilstm_backward(embedder.fwd, embedder.bwd, cc.lstm, dY, token_f, token_b)
             for total, token in ((grads.fwd, token_f), (grads.bwd, token_b)):
-                for f in dataclasses.fields(LstmParams):
-                    acc = getattr(total, f.name)
-                    acc += getattr(token, f.name)
+                total.W += token.W
+                total.U += token.U
+                total.b += token.b
             c2 = 0
             for n in embedder.orders:
                 np.add.at(grads.tables[n], cc.ids[n], dX[:, c2 : c2 + dim])

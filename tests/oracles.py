@@ -1,10 +1,12 @@
 """Reference implementations that the tests check the package against.
 
 ``lstm_cell`` is one LSTM update written gate by gate from the equations
-in ``nncore.lstm_forward``; ``brute_force_paths`` enumerates every tag path
-of a CRF instance; ``grad_check`` compares analytic gradients with central
-finite differences, tensor by tensor, over dicts that ``named`` (one
-parameter container) or ``Model.views`` (a whole model) build.
+in ``nncore.lstm_forward``, using ``sigmoid_masked``, the logistic function
+that ``nncore.sigmoid`` must match bit for bit; ``brute_force_paths``
+enumerates every tag path of a CRF instance; ``grad_check`` compares
+analytic gradients with central finite differences, tensor by tensor, over
+dicts that ``named`` (one parameter container) or ``Model.views`` (a whole
+model) build.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from charseg.crf import ConstraintMask, CrfParams, _masked
 from charseg.errors import CharsegError, NoAllowedPath
-from charseg.nncore import LstmParams, sigmoid
+from charseg.nncore import LstmParams
 
 Array = np.ndarray
 
@@ -28,12 +30,28 @@ class InstanceTooLarge(CharsegError):
     """Brute-force enumeration refused: too many paths."""
 
 
+def sigmoid_masked(x: Array) -> Array:
+    """The logistic function split by sign with boolean masks, so exp never
+    overflows."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def lstm_cell(params: LstmParams, h: Array, c: Array, x: Array) -> tuple[Array, Array]:
-    """One cell update from state (h, c) on input x; returns (h', c')."""
-    i = sigmoid(params.W_i @ h + params.U_i @ x + params.b_i)
-    f = sigmoid(params.W_f @ h + params.U_f @ x + params.b_f)
-    g = np.tanh(params.W_c @ h + params.U_c @ x + params.b_c)
-    o = sigmoid(params.W_o @ h + params.U_o @ x + params.b_o)
+    """One cell update from state (h, c) on input x; returns (h', c').
+    Gate k's weights are rows [k*h, (k+1)*h) of the stacked W, U and b."""
+    n = params.hidden_dim
+    W_i, W_f, W_c, W_o = (params.W[k * n : (k + 1) * n] for k in range(4))
+    U_i, U_f, U_c, U_o = (params.U[k * n : (k + 1) * n] for k in range(4))
+    b_i, b_f, b_c, b_o = (params.b[k * n : (k + 1) * n] for k in range(4))
+    i = sigmoid_masked(W_i @ h + U_i @ x + b_i)
+    f = sigmoid_masked(W_f @ h + U_f @ x + b_f)
+    g = np.tanh(W_c @ h + U_c @ x + b_c)
+    o = sigmoid_masked(W_o @ h + U_o @ x + b_o)
     c = f * c + i * g
     return o * np.tanh(c), c
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from charseg import model as model_mod
 from charseg.cli import main
 from charseg.corpus import read_labeled
 from charseg.metrics import parse_report
@@ -200,6 +201,41 @@ def test_segment_mistyped_checkpoint_config(trained, tmp_path, field, value):
     code = main(["segment", "--checkpoint", str(ckpt), "--vocab", str(trained / "vocab.tsv"),
                  "--input", str(inp), "--output", str(tmp_path / "out.txt")])
     assert code == 2
+
+
+def test_segment_failing_midway_leaves_no_output(trained, tmp_path):
+    # lines 1 and 2 are segmented before line 3's invalid UTF-8 fails the run
+    inp = tmp_path / "in.txt"
+    inp.write_bytes(b"ab cd\nef gh\n\xff ij\n")
+    out = tmp_path / "out" / "segmented.txt"
+    out.parent.mkdir()
+    code = main(["segment", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--input", str(inp), "--output", str(out)])
+    assert code == 2
+    assert list(out.parent.iterdir()) == []
+
+
+def test_train_failing_checkpoint_write_keeps_old_file(prepared, trained, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    old = (trained / "checkpoint.bin").read_bytes()
+    (out / "checkpoint.bin").write_bytes(old)
+
+    class DiskFull:
+        """A last tensor whose bytes cannot be written, as on a full disk."""
+        shape, size = (1,), 1
+
+        def __array__(self, *args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+    tensors = model_mod.Model.tensors
+    monkeypatch.setattr(model_mod.Model, "tensors",
+                        lambda self, trainable_only=True: {**tensors(self, trainable_only), "~disk-full": DiskFull()})
+    code = main(["train", str(prepared), "--out", str(out),
+                 "--epochs", "1", "--d-emb", "4", "--hidden", "6", "--seed", "0"])
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["checkpoint.bin"]
+    assert (out / "checkpoint.bin").read_bytes() == old
 
 
 def test_segment_missing_checkpoint(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from charseg.model import (
     train,
     write_checkpoint,
 )
-from charseg.subword import build_vocab
+from charseg.subword import NgramVocab, build_vocab
 from charseg.synth import make_split
 
 from oracles import grad_check
+
+V1_DIR = Path(__file__).parent / "data" / "v1_sgnws"
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +170,7 @@ def test_tensors_tile_theta(tiny, kw):
         assert np.shares_memory(arr, model.theta), name
     # the containers the forward pass reads are the same memory
     assert np.shares_memory(model.out_proj.W, model.theta)
-    assert np.shares_memory(model.encoder[0][0].W_i, model.theta)
+    assert np.shares_memory(model.encoder[0][0].W, model.theta)
     assert all(np.shares_memory(t, model.theta) for t in model.embedder.tables.values())
     with pytest.raises(ShapeMismatch):
         model.views(np.zeros(model.theta.size + 1))
@@ -189,6 +192,35 @@ def test_tensors_run_output_layer_first(tiny):
     frozen = Model(tiny_config(use_start_scores=False), vocab)
     assert list(frozen.tensors())[-1] == "crf.transitions"
     assert list(frozen.tensors(trainable_only=False))[-1] == "crf.start"
+
+
+def test_layout_names_and_stacked_gate_views(tiny):
+    # checkpoints, clipping sums and grad checks see one tensor per gate;
+    # each stacked W, U and b is the view spanning its four gate tensors
+    _, vocab = tiny
+    model = Model(tiny_config(), vocab)
+    gates = [f"{field}_{g}" for field in "WUb" for g in "ifco"]
+    lstm = lambda prefix: [prefix + n for n in gates]  # noqa: E731
+    assert list(model.layout) == (
+        ["out.W", "out.b", "attn.W_q", "attn.W_k", "attn.W_v", "attn.W_o", "dense.W", "dense.b"]
+        + lstm("enc0.fwd.") + lstm("enc0.bwd.") + ["emb.1", "emb.2", "emb.3", "emb.4"]
+        + lstm("composer.fwd.") + lstm("composer.bwd.") + ["crf.transitions", "crf.start"]
+    )
+
+    def span(a):  # (address, bytes) of a contiguous array
+        assert a.flags.c_contiguous
+        return a.__array_interface__["data"][0], a.nbytes
+
+    named = model.tensors(trainable_only=False)
+    for prefix, p in [("enc0.fwd.", model.encoder[0][0]), ("enc0.bwd.", model.encoder[0][1]),
+                      ("composer.fwd.", model.embedder.fwd), ("composer.bwd.", model.embedder.bwd)]:
+        for field in "WUb":
+            stacked = getattr(p, field)
+            first, last = model.layout[f"{prefix}{field}_i"][0], model.layout[f"{prefix}{field}_o"][0]
+            assert span(stacked) == span(model.theta[first.start : last.stop])
+            n = p.hidden_dim
+            for k, g in enumerate("ifco"):
+                assert span(named[f"{prefix}{field}_{g}"]) == span(stacked[k * n : (k + 1) * n])
 
 
 def test_loss_gradient_is_zero_at_frozen_start(tiny):
@@ -394,6 +426,26 @@ def test_load_predictions_bit_identical(tiny, tmp_path):
     loaded = load_model(path, vocab)
     after = [loaded.predict(t) for t in texts]
     assert before == after
+
+
+def test_checkpoint_from_per_gate_arrays_loads(tmp_path):
+    """tests/data/v1_sgnws holds a freshly built sgnws model (d_emb=4,
+    hidden=4, seed=3) saved while each LSTM gate was still a separate array.
+    It loads into the stacked layout, equals a fresh build, gives the same
+    loss and gradient bits, and saves back to the same bytes."""
+    vocab = NgramVocab.load(V1_DIR / "vocab.tsv")
+    model = load_model(V1_DIR / "checkpoint.bin", vocab)
+    np.testing.assert_array_equal(model.theta, Model(ModelConfig(d_emb=4, hidden=4, seed=3), vocab).theta)
+    stored = read_checkpoint(V1_DIR / "checkpoint.bin").tensors
+    np.testing.assert_array_equal(model.encoder[0][1].U[8:12], stored["enc0.bwd.U_c"])
+    np.testing.assert_array_equal(model.embedder.fwd.b[4:8], stored["composer.fwd.b_f"])
+    text = "sajqcpc gf rm gf sajqcpc ktqpo gtjeq ktqpo"
+    value, G = model.loss(text, tag_ids("BIIIIIEXBEXBEXBEXBIIIIIEXBIIIEXBIIIEXBIIIE"), mode="eval")
+    assert float(value).hex() == "0x1.162afe10ecf92p+6"
+    assert float(np.sum(G * G)).hex() == "0x1.e4e94cf255e6fp+8"
+    assert model.predict(text) == "SSSSSSSXSSXSSXSSXSSSSSSSXSSSSSXSSSSSXSSSSS"
+    save_model(model, tmp_path / "again.bin", metadata={"epoch": 0})
+    assert (tmp_path / "again.bin").read_bytes() == (V1_DIR / "checkpoint.bin").read_bytes()
 
 
 def test_truncated_checkpoint_rejected(tiny, tmp_path):

@@ -30,21 +30,16 @@ from charseg.nncore import (
     zeros_like,
 )
 
-from oracles import grad_check, lstm_cell, named
+from oracles import grad_check, lstm_cell, named, sigmoid_masked
 
 
 def zero_lstm(d_in, hidden):
-    z = lambda *s: np.zeros(s)
-    return LstmParams(
-        W_i=z(hidden, hidden), W_f=z(hidden, hidden), W_c=z(hidden, hidden), W_o=z(hidden, hidden),
-        U_i=z(hidden, d_in), U_f=z(hidden, d_in), U_c=z(hidden, d_in), U_o=z(hidden, d_in),
-        b_i=z(hidden), b_f=z(hidden), b_c=z(hidden), b_o=z(hidden),
-    )
+    return LstmParams(W=np.zeros((4 * hidden, hidden)), U=np.zeros((4 * hidden, d_in)), b=np.zeros(4 * hidden))
 
 
 def random_lstm(d_in, hidden, rng):
     p = LstmParams.init(d_in, hidden, rng)
-    p.b_f[:] = rng.uniform(-0.1, 0.1, hidden)  # break the all-ones forget bias
+    p.b[hidden : 2 * hidden] = rng.uniform(-0.1, 0.1, hidden)  # break the all-ones forget bias
     return p
 
 
@@ -81,7 +76,8 @@ def test_lstm_step_scalar_matches_hand_arithmetic():
         h = o * math.tanh(c)
         expected.append((h, c))
 
-    p = LstmParams(**{k: np.array([[v]]) if k[0] in "WU" else np.array([v]) for k, v in w.items()})
+    p = LstmParams(W=np.array([[w[f"W_{g}"]] for g in "ifco"]), U=np.array([[w[f"U_{g}"]] for g in "ifco"]),
+                   b=np.array([w[f"b_{g}"] for g in "ifco"]))
     H, cache = lstm_forward(p, np.array(xs)[:, None])
     for t, (h, c) in enumerate(expected):
         assert H[t, 0] == pytest.approx(h, abs=1e-15)
@@ -98,7 +94,7 @@ def test_lstm_gate_outputs_bounded(rng):
     p = random_lstm(3, 4, rng)
     X = rng.normal(size=(6, 3))
     H, cache = lstm_forward(p, X)
-    for arr in (cache.I, cache.F, cache.O):
+    for arr in (cache.A[:, :4], cache.A[:, 4:8], cache.A[:, 12:]):  # i, f, o
         assert np.all(arr > 0) and np.all(arr < 1)
     assert np.all(np.isfinite(H))
 
@@ -414,6 +410,17 @@ def test_softmax_rows_sum_to_one(rng):
 def test_sigmoid_extremes():
     assert sigmoid(np.array([500.0]))[0] == pytest.approx(1.0)
     assert sigmoid(np.array([-500.0]))[0] == pytest.approx(0.0, abs=1e-200)
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=24))
+def test_sigmoid_bits_match_masked_formula(values):
+    # signed zeros, infinities, the exp overflow/underflow edges and the
+    # largest finite magnitudes are always in
+    x = np.array(values + [0.0, -0.0, np.inf, -np.inf, 709.79, -709.79, 745.2, -745.2, 1e308, -1e308])
+    got, want = sigmoid(x), sigmoid_masked(x)
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.isnan(want), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 def test_dense_grad_check(rng):

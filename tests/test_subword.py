@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charseg.errors import EmptyCorpus, UninitializedEmbedder
-from charseg.nncore import LstmParams, zeros_like
+from charseg.nncore import zeros_like
 from charseg.subword import (
     FILLER,
     PAD_ID,
@@ -194,10 +194,9 @@ def test_compose_scalar_oracle():
     emb.tables[2][vocab.lookup(2, "b" + FILLER)] = 0.1
     w = dict(W_i=0.2, U_i=(0.4, -0.3), b_i=0.05, W_f=-0.1, U_f=(0.2, 0.6), b_f=0.1,
              W_c=0.3, U_c=(-0.5, 0.2), b_c=0.0, W_o=0.15, U_o=(0.3, 0.1), b_o=-0.05)
-    for p in (emb.fwd, emb.bwd):
-        for k, v in w.items():
-            arr = getattr(p, k)
-            arr[:] = np.array(v).reshape(arr.shape)
+    for p in (emb.fwd, emb.bwd):  # gate k is row k of the stacked W, U and b
+        for k, gate in enumerate("ifco"):
+            p.W[k], p.U[k], p.b[k] = w[f"W_{gate}"], w[f"U_{gate}"], w[f"b_{gate}"]
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
