@@ -13,7 +13,13 @@ prints one line per case: variant, size (d_emb/hidden) and a sha256 over
 - the per-epoch training losses and the bytes of ``theta`` after
   ``train`` for 2 epochs.
 
-Run it with the same arguments on both commits: equal lines mean equal
+After the digest each line prints ``infer rel``: the worst difference
+between the inference emissions (``Model.emissions`` with a memo, the
+LSTM input products hoisted into one GEMM) and the training forward's,
+relative to the largest emission, on the same sentences before and after
+training. It is not hashed.
+
+Run it with the same arguments on both commits: equal digests mean equal
 numbers. Where the arithmetic may round differently, ``--save FILE`` keeps
 the raw losses and gradients of a run and ``--against FILE`` prints, per
 case, the worst relative loss difference and the worst gradient difference
@@ -30,7 +36,7 @@ import numpy as np
 
 from charseg.corpus import tag_ids
 from charseg.model import Model, ModelConfig, train
-from charseg.subword import build_vocab
+from charseg.subword import TokenMemo, build_vocab
 from charseg.synth import make_split
 
 VARIANTS = {
@@ -43,13 +49,25 @@ SIZES = "8/12,32/64,64/200"
 N_SENTENCES = 4
 
 
-def run_case(split, vocab, size: str, overrides: dict) -> tuple[str, np.ndarray, np.ndarray]:
-    """(digest, losses, concatenated gradients) of one case."""
+def infer_rel(model: Model, texts: list[str]) -> float:
+    """Worst max|E_infer - E| / max|E| over texts."""
+    worst = 0.0
+    for text in texts:
+        E, _ = model.emissions(text)
+        E_inf, _ = model.emissions(text, memo=TokenMemo())
+        worst = max(worst, float(np.max(np.abs(E_inf - E)) / np.max(np.abs(E))))
+    return worst
+
+
+def run_case(split, vocab, size: str, overrides: dict) -> tuple[str, np.ndarray, np.ndarray, float]:
+    """(digest, losses, concatenated gradients, infer_rel) of one case."""
     d_emb, hidden = (int(v) for v in size.split("/"))
     cfg = ModelConfig(d_emb=d_emb, hidden=hidden, epochs=2, seed=0, **overrides)
     model = Model(cfg, vocab)
     digest = hashlib.sha256()
     losses, grads = [], []
+    texts = [sent.text for sent, _ in split.train[:N_SENTENCES]]
+    rel = infer_rel(model, texts)
     for k, (sent, tags) in enumerate(split.train[:N_SENTENCES]):
         for mode, seed in (("train", 100 + k), ("eval", None)):
             value, G = model.loss(sent.text, tag_ids(tags), mode=mode, seed=seed)
@@ -62,7 +80,8 @@ def run_case(split, vocab, size: str, overrides: dict) -> tuple[str, np.ndarray,
     for rec in train(model, split):
         digest.update(struct.pack("<d", rec.train_loss))
     digest.update(model.theta.tobytes())
-    return digest.hexdigest(), np.array(losses), np.concatenate(grads)
+    rel = max(rel, infer_rel(model, texts))
+    return digest.hexdigest(), np.array(losses), np.concatenate(grads), rel
 
 
 def main() -> None:
@@ -78,8 +97,8 @@ def main() -> None:
     raw = {}
     for size in args.sizes.split(","):
         for name, overrides in VARIANTS.items():
-            digest, losses, grads = run_case(split, vocab, size, overrides)
-            line = f"{name:<16} {size:<7} {digest}"
+            digest, losses, grads, rel = run_case(split, vocab, size, overrides)
+            line = f"{name:<16} {size:<7} {digest}  infer rel {rel:.2e}"
             case = f"{name}@{size}"
             raw[case + ".loss"], raw[case + ".grad"] = losses, grads
             if saved is not None:

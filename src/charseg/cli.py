@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import shutil
+import itertools
+import json
 import sys
+import time
 from pathlib import Path
 
 from . import corpus, metrics, model as model_mod, subword
@@ -151,11 +153,12 @@ def cmd_train(args) -> int:
         net, out_dir / "checkpoint.bin",
         metadata={"epoch": best.epoch, "dev_f": round(best.dev_f, 6)},
     )
-    with open(out_dir / "epochs.jsonl", "w", encoding="utf-8", newline="\n") as f:
+    with corpus.replace_on_success(out_dir / "epochs.jsonl", "w", encoding="utf-8", newline="\n") as f:
         for rec in log:
             f.write(rec.to_json() + "\n")
     if (data_dir / "vocab.tsv").resolve() != (out_dir / "vocab.tsv").resolve():
-        shutil.copyfile(data_dir / "vocab.tsv", out_dir / "vocab.tsv")
+        with corpus.replace_on_success(out_dir / "vocab.tsv", "wb") as f:
+            f.write((data_dir / "vocab.tsv").read_bytes())
     print(f"best epoch {best.epoch}  dev F {best.dev_f:.4f}")
     return EXIT_OK
 
@@ -167,19 +170,32 @@ def _load_model(args) -> model_mod.Model:
     return model_mod.load_model(ckpt, vocab)
 
 
+def _print_summary(start: float, lengths: list[int], memo: subword.TokenMemo, **extra) -> None:
+    """Print the run's summary, wall time from start included, as one JSON line on stderr."""
+    seconds, chars = time.perf_counter() - start, sum(lengths)
+    summary = dict(sentences=len(lengths), chars=chars, seconds=round(seconds, 6),
+                   chars_per_s=round(chars / seconds, 1), longest_line=max(lengths, default=0),
+                   tokens=memo.tokens, composed=memo.composed, **extra)
+    print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+
+
 def cmd_segment(args) -> int:
+    start = time.perf_counter()
     net = _load_model(args)
     tagged: list[tuple[corpus.Sentence, str]] = []
+    lengths: list[int] = []
     repairs = 0
+    memo = subword.TokenMemo()
+    texts, feed = itertools.tee(corpus.normalize_text(line.rstrip("\n")).strip()
+                                for _, line in corpus.utf8_lines(args.input))
     output = (contextlib.nullcontext(sys.stdout) if args.output == "-"
               else corpus.replace_on_success(args.output, "w", encoding="utf-8", newline="\n"))
     with output as out:
-        for _, line in corpus.utf8_lines(args.input):
-            text = corpus.normalize_text(line.rstrip("\n")).strip()
+        for text, tags in zip(texts, net.predict_many(feed, memo)):
             if not text:
                 out.write("\n")
                 continue
-            tags = net.predict(text)
+            lengths.append(len(text))
             tokens, n_rep = corpus.segmentation_from_tags(text, tags)
             repairs += n_rep
             out.write(" ".join(tokens) + "\n")
@@ -187,11 +203,12 @@ def cmd_segment(args) -> int:
                 tagged.append((corpus.Sentence(text=text), tags))
     if args.emit_tags:
         corpus.write_labeled(args.emit_tags, tagged)
-    print(f"repairs: {repairs}", file=sys.stderr)
+    _print_summary(start, lengths, memo, repairs=repairs)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
+    start = time.perf_counter()
     pairs = corpus.read_labeled(args.data)
     gold_tags = [tags for _, tags in pairs]
     if args.oracle:
@@ -201,17 +218,16 @@ def cmd_evaluate(args) -> int:
         if not args.checkpoint:
             raise UsageError("--checkpoint is required unless --oracle is given")
         net = _load_model(args)
-        pred_tags = [net.predict(s.text) for s, _ in pairs]
+        memo = subword.TokenMemo()
+        pred_tags = list(net.predict_many((s.text for s, _ in pairs), memo))
         name = net.config.variant
+        _print_summary(start, [len(s.text) for s, _ in pairs], memo)
     report = metrics.tag_prf(gold_tags, pred_tags, model=name)
     report.token = metrics.token_f(
         [corpus.tags_to_spans(t)[0] for t in gold_tags],
         [corpus.tags_to_spans(t)[0] for t in pred_tags],
     )
-    if args.out == "-":
-        metrics.report_emit(report, sys.stdout, fmt=args.format)
-    else:
-        metrics.report_emit(report, args.out, fmt=args.format)
+    metrics.report_emit(report, sys.stdout if args.out == "-" else args.out, fmt=args.format)
     return EXIT_OK
 
 

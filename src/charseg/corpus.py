@@ -345,7 +345,7 @@ def _unescape_char(fieldtext: str, line_no: int) -> str:
 
 
 def write_labeled(path, pairs: Iterable[tuple[Sentence, str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with replace_on_success(path, "w", encoding="utf-8", newline="\n") as f:
         for sentence, tags in pairs:
             if len(sentence.text) != len(tags):
                 raise LengthMismatch(f"{len(sentence.text)} characters vs {len(tags)} tags")

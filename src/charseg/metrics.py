@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import TAGS
+from .corpus import TAGS, replace_on_success
 from .errors import LengthMismatch
 
 
@@ -149,23 +149,22 @@ def _rows(report: MetricsReport) -> list[dict]:
 
 
 def report_emit(report: MetricsReport, out: TextIO | str, fmt: str = "json_lines") -> None:
-    """Write the report; byte-stable for a given report and format."""
+    """Write the report, to a path through a temp file moved into place;
+    byte-stable for a given report and format."""
     if fmt not in ("json_lines", "tsv"):
         raise ValueError(f"unknown format {fmt!r}")
+    if isinstance(out, str):
+        with replace_on_success(out, "w", encoding="utf-8", newline="\n") as f:
+            report_emit(report, f, fmt)
+        return
     rows = _rows(report)
-    own = isinstance(out, str)
-    f = open(out, "w", encoding="utf-8", newline="\n") if own else out
-    try:
-        if fmt == "json_lines":
-            for row in rows:
-                f.write(json.dumps(row, sort_keys=True) + "\n")
-        else:
-            f.write("\t".join(_TSV_FIELDS) + "\n")
-            for row in rows:
-                f.write("\t".join(str(row.get(k, "")) for k in _TSV_FIELDS) + "\n")
-    finally:
-        if own:
-            f.close()
+    if fmt == "json_lines":
+        for row in rows:
+            out.write(json.dumps(row, sort_keys=True) + "\n")
+    else:
+        out.write("\t".join(_TSV_FIELDS) + "\n")
+        for row in rows:
+            out.write("\t".join(str(row.get(k, "")) for k in _TSV_FIELDS) + "\n")
 
 
 def parse_report(path: str) -> MetricsReport:

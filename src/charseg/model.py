@@ -32,7 +32,7 @@ import struct
 import sys
 import typing
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .nncore import (
     softmax,
     variational_dropout,
 )
-from .subword import NgramVocab, SubwordEmbedder, char_features_backward, char_features_cached
+from .subword import NgramVocab, SubwordEmbedder, TokenMemo, char_features_backward, char_features_cached
 
 Array = np.ndarray
 
@@ -339,18 +339,21 @@ class Model:
 
     # -- forward / backward ----------------------------------------------------
 
-    def emissions(self, text: str, mode: str = "eval", seed: int | None = None) -> tuple[Array, ForwardCache]:
+    def emissions(self, text: str, mode: str = "eval", seed: int | None = None,
+                  memo: TokenMemo | None = None) -> tuple[Array, ForwardCache | None]:
+        """Emission scores (L x tags) and the cache for backprop; with a
+        memo (inference, eval mode), None, and the LSTMs run uncached."""
         rng = None if seed is None else np.random.default_rng(seed)
-        F, feat_cache = char_features_cached(text, self.vocab, self.embedder)
+        F, feat_cache = char_features_cached(text, self.vocab, self.embedder, memo)
         drop = self.config.dropout
         X, mask_in = variational_dropout(F, drop, mode, rng)
         enc_caches = []
         cur = X
         for fwd, bwd in self.encoder:
             if bwd is None:
-                cur, cache = lstm_forward(fwd, cur)
+                cur, cache = lstm_forward(fwd, cur, memo is None)
             else:
-                cur, cache = bilstm_forward(fwd, bwd, cur)
+                cur, cache = bilstm_forward(fwd, bwd, cur, memo is None)
             enc_caches.append(cache)
         cur, mask_out = variational_dropout(cur, drop, mode, rng)
         D, dense_cache = dense_forward(self.hidden_proj, cur, activation="tanh")
@@ -362,7 +365,7 @@ class Model:
         return E, ForwardCache(
             feat=feat_cache, mask_in=mask_in, enc_caches=enc_caches, mask_out=mask_out,
             dense_cache=dense_cache, attn_cache=attn_cache, out_cache=out_cache,
-        )
+        ) if memo is None else None
 
     def _backward(self, cache: ForwardCache, dE: Array, grads: Layers) -> None:
         """Write every layer's gradient into grads, containers of views of
@@ -393,7 +396,11 @@ class Model:
         if len(text) != len(gold):
             raise LengthMismatch(f"{len(text)} characters vs {len(gold)} tags")
         E, cache = self.emissions(text, mode=mode, seed=seed)
-        G = np.zeros_like(self.theta)
+        # backprop writes every view whole but those it adds into and the frozen start
+        G = np.empty_like(self.theta)
+        for name, (sl, _) in self.layout.items():
+            if name.startswith(("emb.", "composer.")) or name == "crf.start":
+                G[sl] = 0.0
         grads = self._bind(G)
         if self.crf is not None:
             value, cg = crf_mod.nll_loss(E, gold, self.crf)
@@ -413,18 +420,27 @@ class Model:
 
     # -- inference --------------------------------------------------------------
 
+    def predict_many(self, texts: Iterable[str], memo: TokenMemo | None = None) -> Iterator[str]:
+        """Tag strings for normalized sentences, lazily, one per text (""
+        for an empty one). Tokens are composed through memo, emptied first
+        so it lives for this call only; pass one to read its counts."""
+        memo = TokenMemo() if memo is None else memo
+        memo.clear()
+        for text in texts:
+            if not text:
+                yield ""
+                continue
+            E, _ = self.emissions(text, memo=memo)
+            if self.crf is None:
+                path = np.argmax(E, axis=-1)
+            else:
+                mask = crf_mod.grammar_mask([c in WHITESPACE for c in text]) if self.config.constrained_decode else None
+                path, _ = crf_mod.viterbi_decode(E, self.crf, mask)
+            yield ids_to_tags(path)
+
     def predict(self, text: str) -> str:
         """Tag string for one normalized sentence."""
-        if not text:
-            return ""
-        E, _ = self.emissions(text, mode="eval")
-        if self.crf is not None:
-            mask = None
-            if self.config.constrained_decode:
-                mask = crf_mod.grammar_mask([c in WHITESPACE for c in text])
-            path, _ = crf_mod.viterbi_decode(E, self.crf, mask)
-            return ids_to_tags(path)
-        return ids_to_tags(np.argmax(E, axis=-1))
+        return next(self.predict_many([text]))
 
 
 def build(config: ModelConfig, vocab: NgramVocab) -> Model:
@@ -454,7 +470,7 @@ class EpochRecord:
 
 def _dev_metrics(model: Model, dev: list[tuple[Sentence, str]]) -> tuple[float, float, float]:
     gold = [tags for _, tags in dev]
-    pred = [model.predict(s.text) for s, _ in dev]
+    pred = list(model.predict_many(s.text for s, _ in dev))
     rep = tag_prf(gold, pred)
     return rep.micro.p, rep.micro.r, rep.micro.f
 

@@ -105,9 +105,9 @@ class LstmCache:
     C: Array        # (L, h) cell state after each step
 
 
-def lstm_forward(params: LstmParams, X: Array) -> tuple[Array, LstmCache]:
+def lstm_forward(params: LstmParams, X: Array, cache: bool = True) -> tuple[Array, LstmCache | None]:
     """Run the cell over the rows of X from the zero state. Returns hidden
-    states (L, h).
+    states (L, h) and the cache for backprop.
 
     input gate   i = sigmoid(W_i h + U_i x + b_i)
     forget gate  f = sigmoid(W_f h + U_f x + b_f)
@@ -117,24 +117,26 @@ def lstm_forward(params: LstmParams, X: Array) -> tuple[Array, LstmCache]:
     hidden       h' = o * tanh(c')
 
     with W_i the first h rows of W and so on; one step takes one product
-    with each of W and U.
+    with each of W and U. With cache False (inference) the cache is None
+    and A starts as X @ U.T, one GEMM for every step's input product (it
+    may round differently in the last bit); step t overwrites row t.
     """
     L = X.shape[0]
     h = params.hidden_dim
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ShapeMismatch(f"lstm_forward: X {X.shape}, expected (L, {params.input_dim})")
-    A = np.empty((L, 4 * h))
+    A = np.empty((L, 4 * h)) if cache else X @ params.U.T
     HS = np.zeros((L + 1, h))  # row t is the state entering step t
     CS = np.zeros((L + 1, h))
     i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
     for t in range(L):
-        pre = params.W @ HS[t] + params.U @ X[t] + params.b
         a = A[t]
+        pre = params.W @ HS[t] + (params.U @ X[t] if cache else a) + params.b
         a[:] = sigmoid(pre)
         a[g] = np.tanh(pre[g])
         CS[t + 1] = a[f] * CS[t] + a[i] * a[g]
         HS[t + 1] = a[o] * np.tanh(CS[t + 1])
-    return HS[1:], LstmCache(X=X, A=A, H_prev=HS[:-1], C_prev=CS[:-1], H=HS[1:], C=CS[1:])
+    return HS[1:], LstmCache(X=X, A=A, H_prev=HS[:-1], C_prev=CS[:-1], H=HS[1:], C=CS[1:]) if cache else None
 
 
 def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmParams) -> Array:
@@ -180,14 +182,14 @@ class BiLstmCache:
     bwd: LstmCache  # computed over the reversed sequence
 
 
-def bilstm_forward(fwd: LstmParams, bwd: LstmParams, X: Array) -> tuple[Array, BiLstmCache]:
+def bilstm_forward(fwd: LstmParams, bwd: LstmParams, X: Array, cache: bool = True) -> tuple[Array, BiLstmCache | None]:
     """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t]."""
     if X.shape[0] < 1:
         raise ShapeMismatch("bilstm_forward: empty sequence")
-    H_f, cache_f = lstm_forward(fwd, X)
-    H_b_rev, cache_b = lstm_forward(bwd, X[::-1])
+    H_f, cache_f = lstm_forward(fwd, X, cache)
+    H_b_rev, cache_b = lstm_forward(bwd, X[::-1], cache)
     Y = np.hstack([H_f, H_b_rev[::-1]])
-    return Y, BiLstmCache(fwd=cache_f, bwd=cache_b)
+    return Y, BiLstmCache(fwd=cache_f, bwd=cache_b) if cache else None
 
 
 def bilstm_backward(

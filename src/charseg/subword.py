@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import WHITESPACE, _token_spans, utf8_lines
+from .corpus import WHITESPACE, _token_spans, replace_on_success, utf8_lines
 from .errors import BadEscape, BadTag, EmptyCorpus, LengthMismatch, UninitializedEmbedder
 from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward, uniform_init, zeros_like
 
@@ -32,6 +32,8 @@ FILLER = ""  # private-use codepoint, cannot collide with normalized text
 PAD_ID = 0    # filler windows at whitespace positions
 UNK_ID = 1
 SPACE_ID = 2  # unigram table only
+
+MEMO_TOKENS = 4096  # most vectors a TokenMemo holds: about 5 MB at d_emb=64
 
 DEFAULT_ORDERS = (1, 2, 3, 4)
 DEFAULT_MIN_FREQ = {1: 1, 2: 2, 3: 2, 4: 2}
@@ -99,7 +101,7 @@ class NgramVocab:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with replace_on_success(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self._serialize())
 
     def sha256(self) -> str:
@@ -251,13 +253,22 @@ class ComposerCache:
     lstm: BiLstmCache
 
 
-def _compose(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> tuple[Array, ComposerCache]:
+def _compose(token: str, vocab: NgramVocab, embedder: SubwordEmbedder,
+             cache: bool = True) -> tuple[Array, ComposerCache | None]:
     ids = {n: vocab.anchored_ids(token, n) for n in embedder.orders}
     X = np.hstack([embedder.tables[n][ids[n]] for n in embedder.orders])
-    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X)
+    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache)
     d = embedder.dim
     vec = np.concatenate([Y[-1, :d], Y[0, d:]])
-    return vec, ComposerCache(ids=ids, lstm=lstm_cache)
+    return vec, ComposerCache(ids=ids, lstm=lstm_cache) if cache else None
+
+
+class TokenMemo(dict):
+    """Token -> composed vector within one inference run, at most MEMO_TOKENS
+    (cleared when full); it must not outlive a parameter write. ``tokens``
+    counts the tokens looked up, ``composed`` the composer runs."""
+
+    tokens = composed = 0
 
 
 def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:
@@ -286,8 +297,10 @@ def char_features(text: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Ar
     return F
 
 
-def char_features_cached(text: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> tuple[Array, FeatureCache]:
-    """Feature matrix (L x feature width) plus the cache for backprop."""
+def char_features_cached(text: str, vocab: NgramVocab, embedder: SubwordEmbedder,
+                         memo: TokenMemo | None = None) -> tuple[Array, FeatureCache | None]:
+    """Feature matrix (L x feature width) plus the cache for backprop;
+    with a memo (inference), None, and each distinct token composed once."""
     embedder.check_vocab(vocab)
     L = len(text)
     dim = embedder.dim
@@ -306,9 +319,19 @@ def char_features_cached(text: str, vocab: NgramVocab, embedder: SubwordEmbedder
     if embedder.use_composer:
         composers = []
         for a, b in spans:
-            vec, cc = _compose(text[a:b], vocab, embedder)
+            token = text[a:b]
+            if memo is None:
+                vec, cc = _compose(token, vocab, embedder)
+                composers.append(cc)
+            elif (vec := memo.get(token)) is None:
+                if len(memo) >= MEMO_TOKENS:
+                    memo.clear()
+                vec = memo[token] = _compose(token, vocab, embedder, cache=False)[0]
+                memo.composed += 1
             F[a:b, col:] = vec
-            composers.append(cc)
+    if memo is not None:
+        memo.tokens += len(spans)
+        return F, None
     return F, FeatureCache(text=text, ids=ids, spans=spans, composers=composers, width=embedder.feature_width)
 
 

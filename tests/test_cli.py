@@ -1,3 +1,4 @@
+import builtins
 import json
 import struct
 from pathlib import Path
@@ -238,6 +239,64 @@ def test_train_failing_checkpoint_write_keeps_old_file(prepared, trained, tmp_pa
     assert (out / "checkpoint.bin").read_bytes() == old
 
 
+class HalfWrite:
+    """A file whose first write stores half its data and then fails, as
+    on a full disk."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        self._f.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("case", ["prepare-train.tsv", "prepare-dev.tsv", "prepare-test.tsv", "prepare-vocab.tsv",
+                                  "train-epochs.jsonl", "train-vocab.tsv", "segment-tags.tsv",
+                                  "evaluate-report.jsonl"])
+def test_failed_output_write_leaves_no_partial_file(raw_corpus, prepared, trained, tmp_path, monkeypatch, case):
+    command, target = case.split("-", 1)
+    out = tmp_path / "out"
+    out.mkdir()
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd ef\n", encoding="utf-8")
+    ckpt = ["--checkpoint", str(trained / "checkpoint.bin")]
+    argv = {
+        "prepare": ["prepare", str(raw_corpus), str(out)],
+        "train": ["train", str(prepared), "--out", str(out), "--epochs", "1", "--d-emb", "4", "--hidden", "6"],
+        "segment": ["segment", *ckpt, "--input", str(inp), "--output", str(tmp_path / "seg.txt"),
+                    "--emit-tags", str(out / target)],
+        "evaluate": ["evaluate", *ckpt, "--data", str(prepared / "dev.tsv"), "--out", str(out / target)],
+    }[command]
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return HalfWrite(f) if "w" in mode and Path(file).name.startswith(target) else f
+
+    for old in (None, b"old bytes\n"):
+        if old is not None:
+            (out / target).write_bytes(old)
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "open", failing_open)
+            assert main(argv) == 2
+        assert not list(out.glob("*.tmp"))
+        if old is None:
+            assert not (out / target).exists()
+        else:
+            assert (out / target).read_bytes() == old
+
+
 def test_segment_missing_checkpoint(tmp_path):
     inp = tmp_path / "in.txt"
     inp.write_text("a b\n", encoding="utf-8")
@@ -269,6 +328,32 @@ def test_evaluate_checkpoint_report_parses(trained, prepared, tmp_path):
     rep = parse_report(str(out))
     assert 0.0 <= rep.micro.f <= 1.0
     assert rep.n_sentences == 1
+
+
+def test_segment_and_evaluate_summary_line(trained, prepared, tmp_path, capsys):
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd ab\n\n  qq \t ab\n", encoding="utf-8")
+    code = main(["segment", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--input", str(inp), "--output", str(tmp_path / "out.txt")])
+    assert code == 0
+    line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    keys = {"sentences", "chars", "seconds", "chars_per_s", "longest_line", "tokens", "composed"}
+    assert set(line) == keys | {"repairs"}
+    # "ab cd ab" and "qq ab": ab is composed once
+    assert (line["sentences"], line["chars"], line["longest_line"]) == (2, 13, 8)
+    assert (line["tokens"], line["composed"]) == (5, 3)
+    assert line["repairs"] >= 0 and line["seconds"] > 0
+    assert line["chars_per_s"] == pytest.approx(13 / line["seconds"], rel=1e-3)
+
+    pairs = read_labeled(prepared / "dev.tsv")
+    code = main(["evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--data", str(prepared / "dev.tsv"), "--out", str(tmp_path / "rep.jsonl")])
+    assert code == 0
+    line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert set(line) == keys
+    assert (line["sentences"], line["chars"]) == (len(pairs), sum(len(s.text) for s, _ in pairs))
+    assert line["tokens"] == sum(len(s.text.split()) for s, _ in pairs)
+    assert line["composed"] == len({w for s, _ in pairs for w in s.text.split()})
 
 
 def test_evaluate_requires_checkpoint_or_oracle(prepared):

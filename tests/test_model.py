@@ -5,7 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charseg.corpus import DatasetSplit, Sentence, segmentation_from_tags, tag_ids, tags_match_whitespace
+from charseg import subword
+from charseg.corpus import (
+    WHITESPACE,
+    DatasetSplit,
+    Sentence,
+    ids_to_tags,
+    segmentation_from_tags,
+    tag_ids,
+    tags_match_whitespace,
+)
+from charseg.crf import grammar_mask, viterbi_decode
 from charseg.errors import BadConfig, BadMagic, EmptyCorpus, ShapeMismatch, VocabMismatch
 from charseg.model import (
     Model,
@@ -17,8 +27,8 @@ from charseg.model import (
     train,
     write_checkpoint,
 )
-from charseg.subword import NgramVocab, build_vocab
-from charseg.synth import make_split
+from charseg.subword import NgramVocab, TokenMemo, build_vocab
+from charseg.synth import make_lexicon, make_sentences, make_split
 
 from oracles import grad_check
 
@@ -232,6 +242,33 @@ def test_loss_gradient_is_zero_at_frozen_start(tiny):
     np.testing.assert_array_equal(model.views(G, trainable_only=False)["crf.start"], 0.0)
 
 
+@pytest.mark.parametrize("kw", [{}, {"variant": "lstm_softmax"}, {"use_start_scores": False}],
+                         ids=["sgnws", "lstm_softmax", "no-start"])
+def test_loss_gradient_ignores_uninitialized_memory(tiny, monkeypatch, kw):
+    # the gradient vector is allocated uninitialized: NaN-filled fresh
+    # arrays must give the same bits, so no view is left unwritten
+    split, vocab = tiny
+    model = Model(tiny_config(**kw), vocab)
+    s, t = split.train[1]
+    value, G = model.loss(s.text, tag_ids(t), mode="train", seed=5)
+    empty, empty_like = np.empty, np.empty_like
+
+    def nan_filled(alloc):
+        def fill(*args, **kwargs):
+            out = alloc(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+        return fill
+
+    monkeypatch.setattr(np, "empty", nan_filled(empty))
+    monkeypatch.setattr(np, "empty_like", nan_filled(empty_like))
+    value_nan, G_nan = model.loss(s.text, tag_ids(t), mode="train", seed=5)
+    assert np.isnan(np.empty_like(G)).all()
+    assert float(value_nan).hex() == float(value).hex()
+    assert G_nan.tobytes() == G.tobytes()
+
+
 def test_structural_layer_order(tiny):
     # attention sits between the hidden projection and the emission layer:
     # sgnws cannot be built without it
@@ -387,6 +424,48 @@ def test_predict_unconstrained_flag(tiny):
     model = Model(tiny_config(variant="bilstm_crf", constrained_decode=False), vocab)
     tags = model.predict("ab cd")
     assert len(tags) == 5  # may be ungrammatical, but must be total
+
+
+def decode_cached(model, text):
+    """Tags from the training forward's emissions, decoded as predict does."""
+    E, _ = model.emissions(text)
+    if model.crf is None:
+        return ids_to_tags(np.argmax(E, axis=-1))
+    mask = grammar_mask([c in WHITESPACE for c in text]) if model.config.constrained_decode else None
+    return ids_to_tags(viterbi_decode(E, model.crf, mask)[0])
+
+
+@pytest.mark.parametrize("variant", ["sgnws", "bilstm_crf_char", "lstm_softmax"])
+def test_predict_many_matches_cached_emissions(tiny, variant):
+    split, vocab = tiny
+    model = Model(tiny_config(variant=variant, d_emb=8, hidden=12), vocab)
+    train(model, split)
+    # criterion 8's fixed sentences, then the dev split
+    texts = make_sentences(make_lexicon(n_words=60, seed=0), 50, seed=88) + [s.text for s, _ in split.dev]
+    memo = TokenMemo()
+    got = list(model.predict_many(texts, memo))
+    assert got == [decode_cached(model, t) for t in texts]
+    assert got == [model.predict(t) for t in texts]
+    assert memo.tokens == sum(len(t.split()) for t in texts)
+    assert memo.composed == (len({w for t in texts for w in t.split()}) if variant != "lstm_softmax" else 0)
+
+
+def test_predict_many_memo_bound(tiny, monkeypatch):
+    split, vocab = tiny
+    model = Model(tiny_config(), vocab)
+    texts = [s.text for s, _ in split.train] + ["", "ab cd ab"]
+    want = list(model.predict_many(texts))
+    distinct = len({w for t in texts for w in t.split()})
+    monkeypatch.setattr(subword, "MEMO_TOKENS", 3)
+    assert distinct > 3
+    memo = TokenMemo()
+    got = []
+    for tags in model.predict_many(texts, memo):
+        assert len(memo) <= 3
+        got.append(tags)
+    assert got == want
+    assert got[-2] == ""
+    assert memo.composed > distinct  # the memo was cleared and tokens composed again
 
 
 def test_predict_softmax_argmax(tiny):

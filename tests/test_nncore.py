@@ -184,6 +184,24 @@ def test_bilstm_matches_stepwise_oracle(rng):
     np.testing.assert_allclose(Y, oracle, atol=1e-14)
 
 
+@given(L=st.integers(min_value=1, max_value=9),
+       size=st.sampled_from([(3, 7), (5, 10), (8, 12), (32, 64)]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_uncached_pass_matches_cached(L, size, seed):
+    # cache=False takes the input products from one X @ U.T GEMM, which may
+    # round differently from the per-step product in the last bit
+    d_in, hidden = size
+    rng = np.random.default_rng(seed)
+    fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
+    X = rng.normal(size=(L, d_in))
+    for run in (lambda cache: lstm_forward(fwd, X, cache), lambda cache: bilstm_forward(fwd, bwd, X, cache)):
+        ref, ref_cache = run(True)
+        got, got_cache = run(False)
+        assert ref_cache is not None and got_cache is None
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_bilstm_backward_grad_check(rng):
     fwd = random_lstm(3, 2, rng)
     bwd = random_lstm(3, 2, rng)
