@@ -14,8 +14,9 @@ prints one line per case: variant, size (d_emb/hidden) and a sha256 over
   ``train`` for 2 epochs.
 
 After the digest each line prints ``infer rel``: the worst difference
-between the inference emissions (``Model.emissions`` with a memo, the
-LSTM input products hoisted into one GEMM) and the training forward's,
+between the inference emissions (``Model.batch_emissions`` over the
+case's sentences as one batch, the LSTM input products hoisted into one
+GEMM and the sequences run together) and the training forward's,
 relative to the largest emission, on the same sentences before and after
 training. It is not hashed.
 
@@ -52,9 +53,8 @@ N_SENTENCES = 4
 def infer_rel(model: Model, texts: list[str]) -> float:
     """Worst max|E_infer - E| / max|E| over texts."""
     worst = 0.0
-    for text in texts:
+    for text, E_inf in zip(texts, model.batch_emissions(texts, TokenMemo())):
         E, _ = model.emissions(text)
-        E_inf, _ = model.emissions(text, memo=TokenMemo())
         worst = max(worst, float(np.max(np.abs(E_inf - E)) / np.max(np.abs(E))))
     return worst
 

@@ -175,7 +175,7 @@ def _print_summary(start: float, lengths: list[int], memo: subword.TokenMemo, **
     seconds, chars = time.perf_counter() - start, sum(lengths)
     summary = dict(sentences=len(lengths), chars=chars, seconds=round(seconds, 6),
                    chars_per_s=round(chars / seconds, 1), longest_line=max(lengths, default=0),
-                   tokens=memo.tokens, composed=memo.composed, **extra)
+                   tokens=memo.tokens, composed=memo.composed, batches=memo.batches, **extra)
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
 
 

@@ -15,6 +15,7 @@ token vector.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -253,22 +254,27 @@ class ComposerCache:
     lstm: BiLstmCache
 
 
-def _compose(token: str, vocab: NgramVocab, embedder: SubwordEmbedder,
-             cache: bool = True) -> tuple[Array, ComposerCache | None]:
-    ids = {n: vocab.anchored_ids(token, n) for n in embedder.orders}
+def _compose(tokens: list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
+             cache: bool = False) -> tuple[Array, ComposerCache | None]:
+    """Composed vectors of tokens, one row each, from one packed composer
+    pass; with cache (one token), also its cache for backprop."""
+    ids = {n: np.concatenate([vocab.anchored_ids(t, n) for t in tokens]) for n in embedder.orders}
     X = np.hstack([embedder.tables[n][ids[n]] for n in embedder.orders])
-    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache)
+    lengths = [len(t) for t in tokens]
+    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache, lengths)
     d = embedder.dim
-    vec = np.concatenate([Y[-1, :d], Y[0, d:]])
+    ends = np.cumsum(lengths)
+    vec = np.hstack([Y[ends - 1, :d], Y[ends - lengths, d:]])
     return vec, ComposerCache(ids=ids, lstm=lstm_cache) if cache else None
 
 
 class TokenMemo(dict):
     """Token -> composed vector within one inference run, at most MEMO_TOKENS
-    (cleared when full); it must not outlive a parameter write. ``tokens``
-    counts the tokens looked up, ``composed`` the composer runs."""
+    (cleared when a batch's new tokens do not fit); it must not outlive a
+    parameter write. ``tokens`` counts the tokens looked up, ``composed``
+    the tokens composed, ``batches`` the batched inference passes."""
 
-    tokens = composed = 0
+    tokens = composed = batches = 0
 
 
 def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:
@@ -279,8 +285,8 @@ def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) ->
     if not embedder.use_composer or embedder.fwd is None:
         raise UninitializedEmbedder("embedder was built without a composer")
     embedder.check_vocab(vocab)
-    vec, _ = _compose(token, vocab, embedder)
-    return vec
+    vec, _ = _compose([token], vocab, embedder, cache=True)
+    return vec[0]
 
 
 @dataclass
@@ -297,14 +303,19 @@ def char_features(text: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Ar
     return F
 
 
-def char_features_cached(text: str, vocab: NgramVocab, embedder: SubwordEmbedder,
+def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
                          memo: TokenMemo | None = None) -> tuple[Array, FeatureCache | None]:
-    """Feature matrix (L x feature width) plus the cache for backprop;
-    with a memo (inference), None, and each distinct token composed once."""
+    """Feature matrix (L x feature width) plus the cache for backprop.
+    With a memo (inference) the cache is None, text may be a list of texts
+    whose rows F holds one after another, and their distinct tokens not in
+    memo are composed in one packed composer pass."""
     embedder.check_vocab(vocab)
+    texts = [text] if isinstance(text, str) else text
+    starts = itertools.accumulate((len(t) for t in texts), initial=0)
+    spans = [(lo + a, lo + b) for lo, t in zip(starts, texts) for a, b in _token_spans(t)]
+    text = "".join(texts)
     L = len(text)
     dim = embedder.dim
-    spans = _token_spans(text)
     ids = {n: np.full(L, PAD_ID if n > 1 else SPACE_ID, dtype=np.int64) for n in embedder.orders}
     for a, b in spans:
         token = text[a:b]
@@ -316,19 +327,24 @@ def char_features_cached(text: str, vocab: NgramVocab, embedder: SubwordEmbedder
         F[:, col : col + dim] = embedder.tables[n][ids[n]]
         col += dim
     composers = None
-    if embedder.use_composer:
+    if embedder.use_composer and memo is None:
         composers = []
         for a, b in spans:
-            token = text[a:b]
-            if memo is None:
-                vec, cc = _compose(token, vocab, embedder)
-                composers.append(cc)
-            elif (vec := memo.get(token)) is None:
-                if len(memo) >= MEMO_TOKENS:
-                    memo.clear()
-                vec = memo[token] = _compose(token, vocab, embedder, cache=False)[0]
-                memo.composed += 1
+            vec, cc = _compose([text[a:b]], vocab, embedder, cache=True)
             F[a:b, col:] = vec
+            composers.append(cc)
+    elif embedder.use_composer:
+        tokens = [text[a:b] for a, b in spans]
+        vecs = {t: memo.get(t) for t in tokens}
+        new = [t for t, vec in vecs.items() if vec is None]
+        if new:
+            vecs.update(zip(new, _compose(new, vocab, embedder)[0]))
+        for (a, b), token in zip(spans, tokens):
+            F[a:b, col:] = vecs[token]
+        if len(memo) + len(new) > MEMO_TOKENS:
+            memo.clear()
+        memo.update((t, vecs[t]) for t in new[-MEMO_TOKENS:])
+        memo.composed += len(new)
     if memo is not None:
         memo.tokens += len(spans)
         return F, None

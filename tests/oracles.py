@@ -2,11 +2,12 @@
 
 ``lstm_cell`` is one LSTM update written gate by gate from the equations
 in ``nncore.lstm_forward``, using ``sigmoid_masked``, the logistic function
-that ``nncore.sigmoid`` must match bit for bit; ``brute_force_paths``
-enumerates every tag path of a CRF instance; ``grad_check`` compares
-analytic gradients with central finite differences, tensor by tensor, over
-dicts that ``named`` (one parameter container) or ``Model.views`` (a whole
-model) build.
+that ``nncore.sigmoid`` must match bit for bit; ``attention_weights`` is
+the softmax that ``nncore.self_attention`` must match bit for bit;
+``brute_force_paths`` enumerates every tag path of a CRF instance;
+``grad_check`` compares analytic gradients with central finite
+differences, tensor by tensor, over dicts that ``named`` (one parameter
+container) or ``Model.views`` (a whole model) build.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from charseg.crf import ConstraintMask, CrfParams, _masked
 from charseg.errors import CharsegError, NoAllowedPath
-from charseg.nncore import LstmParams
+from charseg.nncore import LstmParams, softmax
 
 Array = np.ndarray
 
@@ -54,6 +55,12 @@ def lstm_cell(params: LstmParams, h: Array, c: Array, x: Array) -> tuple[Array, 
     o = sigmoid_masked(W_o @ h + U_o @ x + b_o)
     c = f * c + i * g
     return o * np.tanh(c), c
+
+
+def attention_weights(Q: Array, K: Array) -> Array:
+    """softmax(Q K^T / sqrt(d)) over rows, as one expression: the bits
+    that ``nncore.self_attention``'s in-place steps must keep."""
+    return softmax((Q @ K.T) / np.sqrt(Q.shape[1]), axis=-1)
 
 
 def brute_force_paths(

@@ -337,11 +337,11 @@ def test_segment_and_evaluate_summary_line(trained, prepared, tmp_path, capsys):
                  "--input", str(inp), "--output", str(tmp_path / "out.txt")])
     assert code == 0
     line = json.loads(capsys.readouterr().err.splitlines()[-1])
-    keys = {"sentences", "chars", "seconds", "chars_per_s", "longest_line", "tokens", "composed"}
+    keys = {"sentences", "chars", "seconds", "chars_per_s", "longest_line", "tokens", "composed", "batches"}
     assert set(line) == keys | {"repairs"}
     # "ab cd ab" and "qq ab": ab is composed once
     assert (line["sentences"], line["chars"], line["longest_line"]) == (2, 13, 8)
-    assert (line["tokens"], line["composed"]) == (5, 3)
+    assert (line["tokens"], line["composed"], line["batches"]) == (5, 3, 1)
     assert line["repairs"] >= 0 and line["seconds"] > 0
     assert line["chars_per_s"] == pytest.approx(13 / line["seconds"], rel=1e-3)
 
@@ -354,6 +354,7 @@ def test_segment_and_evaluate_summary_line(trained, prepared, tmp_path, capsys):
     assert (line["sentences"], line["chars"]) == (len(pairs), sum(len(s.text) for s, _ in pairs))
     assert line["tokens"] == sum(len(s.text.split()) for s, _ in pairs)
     assert line["composed"] == len({w for s, _ in pairs for w in s.text.split()})
+    assert 1 <= line["batches"] <= len(pairs)
 
 
 def test_evaluate_requires_checkpoint_or_oracle(prepared):
@@ -408,6 +409,21 @@ def test_inspect_bad_tensor_directory(trained, tmp_path, edit, trailing):
     code = main(["segment", "--checkpoint", str(ckpt), "--vocab", str(trained / "vocab.tsv"),
                  "--input", str(inp), "--output", str(tmp_path / "out.txt")])
     assert code == 2
+
+
+def test_oversized_header_length_exit_code(tmp_path, capsys):
+    # a header length past the end of the file is refused before any read
+    v1 = Path(__file__).parent / "data" / "v1_sgnws"
+    raw = (v1 / "checkpoint.bin").read_bytes()
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(raw[:8] + struct.pack("<Q", 2**40) + raw[16:])
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd\n", encoding="utf-8")
+    assert main(["inspect", str(ckpt)]) == 2
+    assert main(["segment", "--checkpoint", str(ckpt), "--vocab", str(v1 / "vocab.tsv"),
+                 "--input", str(inp), "--output", str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: truncated checkpoint header") == 2 and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

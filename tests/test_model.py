@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from charseg.corpus import (
 from charseg.crf import grammar_mask, viterbi_decode
 from charseg.errors import BadConfig, BadMagic, EmptyCorpus, ShapeMismatch, VocabMismatch
 from charseg.model import (
+    BATCH_CHARS,
     Model,
     ModelConfig,
     build,
@@ -435,19 +437,30 @@ def decode_cached(model, text):
     return ids_to_tags(viterbi_decode(E, model.crf, mask)[0])
 
 
-@pytest.mark.parametrize("variant", ["sgnws", "bilstm_crf_char", "lstm_softmax"])
+@pytest.mark.parametrize("variant", ["sgnws", "bilstm_crf_char", "lstm_softmax", "sgnws-2layer"])
 def test_predict_many_matches_cached_emissions(tiny, variant):
     split, vocab = tiny
-    model = Model(tiny_config(variant=variant, d_emb=8, hidden=12), vocab)
+    kw = dict(variant="sgnws", num_layers=2) if variant == "sgnws-2layer" else dict(variant=variant)
+    model = Model(tiny_config(d_emb=8, hidden=12, **kw), vocab)
     train(model, split)
-    # criterion 8's fixed sentences, then the dev split
-    texts = make_sentences(make_lexicon(n_words=60, seed=0), 50, seed=88) + [s.text for s, _ in split.dev]
+    # criterion 8's fixed sentences and the dev split, with empty texts
+    # between them and one text longer than a batch
+    fixed = make_sentences(make_lexicon(n_words=60, seed=0), 50, seed=88)
+    long_text = " ".join(fixed[:12])
+    assert len(long_text) > BATCH_CHARS
+    texts = fixed[:20] + ["", long_text, "", ""] + fixed[20:] + [""] + [s.text for s, _ in split.dev]
+    full = [t for t in texts if t]
     memo = TokenMemo()
     got = list(model.predict_many(texts, memo))
-    assert got == [decode_cached(model, t) for t in texts]
+    assert got == [decode_cached(model, t) if t else "" for t in texts]
     assert got == [model.predict(t) for t in texts]
+    assert list(model.predict_many([long_text])) == [got[21]]
     assert memo.tokens == sum(len(t.split()) for t in texts)
     assert memo.composed == (len({w for t in texts for w in t.split()}) if variant != "lstm_softmax" else 0)
+    assert 3 <= memo.batches < len(full)  # the long text ran alone
+    for text, E in zip(full[:8], model.batch_emissions(full[:8], TokenMemo())):
+        ref, _ = model.emissions(text)
+        assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_predict_many_memo_bound(tiny, monkeypatch):
@@ -466,6 +479,22 @@ def test_predict_many_memo_bound(tiny, monkeypatch):
     assert got == want
     assert got[-2] == ""
     assert memo.composed > distinct  # the memo was cleared and tokens composed again
+
+
+def test_predict_many_memory_flat_in_line_count(tiny):
+    split, vocab = tiny
+    model = Model(tiny_config(d_emb=8, hidden=12), vocab)
+    line = split.train[0][0].text
+    few, many = [line] * 20, [line] * 200
+    list(model.predict_many(few))  # first-call allocations
+    peaks = []
+    for texts in (few, many):
+        tracemalloc.start()
+        for _ in model.predict_many(texts):
+            pass
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_predict_softmax_argmax(tiny):

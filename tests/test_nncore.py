@@ -30,7 +30,7 @@ from charseg.nncore import (
     zeros_like,
 )
 
-from oracles import grad_check, lstm_cell, named, sigmoid_masked
+from oracles import attention_weights, grad_check, lstm_cell, named, sigmoid_masked
 
 
 def zero_lstm(d_in, hidden):
@@ -202,6 +202,29 @@ def test_uncached_pass_matches_cached(L, size, seed):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@given(lengths=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=7),
+       size=st.sampled_from([(3, 7), (5, 10), (8, 12), (32, 64)]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_pass_matches_each_sequence(lengths, size, seed):
+    # sequences of any lengths in any order, ties included, run as one
+    # packed pass: each one's states match its own training-path pass
+    d_in, hidden = size
+    rng = np.random.default_rng(seed)
+    fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
+    X = rng.normal(size=(sum(lengths), d_in))
+    ends = np.cumsum(lengths)
+    for run in (lambda X, lens=None: lstm_forward(fwd, X, lens is None, lens),
+                lambda X, lens=None: bilstm_forward(fwd, bwd, X, lens is None, lens)):
+        got, cache = run(X, lengths)
+        assert cache is None and got.shape[0] == X.shape[0]
+        for hi, n in zip(ends, lengths):
+            ref, _ = run(X[hi - n : hi])
+            assert np.max(np.abs(got[hi - n : hi] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if len(lengths) > 1:  # a batch keeps no backprop cache
+        with pytest.raises(ShapeMismatch):
+            lstm_forward(fwd, X, True, lengths)
+
+
 def test_bilstm_backward_grad_check(rng):
     fwd = random_lstm(3, 2, rng)
     bwd = random_lstm(3, 2, rng)
@@ -239,6 +262,18 @@ def test_attention_rows_are_distributions(L):
     _, cache = self_attention(p, Y)
     assert np.all(cache.A >= 0)
     np.testing.assert_allclose(cache.A.sum(axis=1), np.ones(L), atol=1e-12)
+
+
+@pytest.mark.parametrize("L", [1, 7, 40, 300, 1648])
+def test_attention_weights_bits_match_softmax_formula(L):
+    # the in-place softmax keeps the bits of softmax((Q @ K.T) / sqrt(d))
+    rng = np.random.default_rng(L)
+    params = AttentionParams.init(16, rng)
+    Y = 10.0 * rng.normal(size=(L, 16))
+    Z, cache = self_attention(params, Y)
+    A = attention_weights(cache.Q, cache.K)
+    assert cache.A.tobytes() == A.tobytes()
+    assert Z.tobytes() == ((A @ cache.V) @ params.W_o + Y).tobytes()
 
 
 def test_attention_backward_grad_check(rng):
