@@ -11,7 +11,10 @@ prints one line per case: variant, size (d_emb/hidden) and a sha256 over
 - the gradient names (``Model.views``) and the bytes of each gradient;
 - the tag strings ``predict`` returns for those sentences;
 - the per-epoch training losses and the bytes of ``theta`` after
-  ``train`` for 2 epochs.
+  ``train`` for 2 epochs;
+- the bytes ``save_model`` writes for the fresh build and for the trained
+  model. ``load_model`` of each file must return the same ``theta`` bytes,
+  or the script stops with an error.
 
 After the digest each line prints ``infer rel``: the worst difference
 between the inference emissions (``Model.batch_emissions`` over the
@@ -32,11 +35,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from charseg.corpus import tag_ids
-from charseg.model import Model, ModelConfig, train
+from charseg.model import Model, ModelConfig, load_model, save_model, train
 from charseg.subword import TokenMemo, build_vocab
 from charseg.synth import make_split
 
@@ -59,12 +64,23 @@ def infer_rel(model: Model, texts: list[str]) -> float:
     return worst
 
 
+def checkpoint_bytes(model: Model) -> bytes:
+    """What save_model writes for model, after checking that load_model
+    reads the same theta bytes back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        save_model(model, path)
+        if load_model(path, model.vocab).theta.tobytes() != model.theta.tobytes():
+            raise SystemExit("load_model did not return the theta that save_model wrote")
+        return path.read_bytes()
+
+
 def run_case(split, vocab, size: str, overrides: dict) -> tuple[str, np.ndarray, np.ndarray, float]:
     """(digest, losses, concatenated gradients, infer_rel) of one case."""
     d_emb, hidden = (int(v) for v in size.split("/"))
     cfg = ModelConfig(d_emb=d_emb, hidden=hidden, epochs=2, seed=0, **overrides)
     model = Model(cfg, vocab)
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(checkpoint_bytes(model))
     losses, grads = [], []
     texts = [sent.text for sent, _ in split.train[:N_SENTENCES]]
     rel = infer_rel(model, texts)
@@ -80,6 +96,7 @@ def run_case(split, vocab, size: str, overrides: dict) -> tuple[str, np.ndarray,
     for rec in train(model, split):
         digest.update(struct.pack("<d", rec.train_loss))
     digest.update(model.theta.tobytes())
+    digest.update(checkpoint_bytes(model))
     rel = max(rel, infer_rel(model, texts))
     return digest.hexdigest(), np.array(losses), np.concatenate(grads), rel
 

@@ -166,32 +166,3 @@ def report_emit(report: MetricsReport, out: TextIO | str, fmt: str = "json_lines
         for row in rows:
             out.write("\t".join(str(row.get(k, "")) for k in _TSV_FIELDS) + "\n")
 
-
-def parse_report(path: str) -> MetricsReport:
-    """Rebuild a report from its JSON-lines form (floats at emitted precision)."""
-    per_tag: dict[str, TagCounts] = {}
-    agg: dict[str, PRF] = {}
-    token = None
-    model = ""
-    sentences = positions = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            row = json.loads(line)
-            kind = row["kind"]
-            m = PRF(p=float(row["p"]), r=float(row["r"]), f=float(row["f"]))
-            if kind == "per_tag":
-                per_tag[row["tag"]] = TagCounts(
-                    correct=row["correct"], predicted=row["predicted"], true=row["true"]
-                )
-            elif kind in ("micro", "micro_excl_x", "macro"):
-                agg[kind] = m
-                model = row["model"]
-                sentences = row["sentences"]
-                positions = row["positions"]
-            elif kind == "token":
-                token = m
-    return MetricsReport(
-        model=model, n_sentences=sentences, n_positions=positions,
-        per_tag=per_tag, micro=agg["micro"], micro_excl_x=agg["micro_excl_x"],
-        macro=agg["macro"], token=token,
-    )

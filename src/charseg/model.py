@@ -38,7 +38,7 @@ import numpy as np
 
 from . import crf as crf_mod
 from .corpus import N_TAGS, WHITESPACE, DatasetSplit, Sentence, ids_to_tags, replace_on_success, tag_ids
-from .errors import BadConfig, BadMagic, EmptyCorpus, LengthMismatch, ShapeMismatch, VocabMismatch
+from .errors import BadConfig, BadMagic, EmptyCorpus, LengthMismatch, ShapeMismatch, UninitializedEmbedder, VocabMismatch
 from .metrics import tag_prf
 from .nncore import (
     AdamaxState,
@@ -206,69 +206,69 @@ class Layers(NamedTuple):
     crf: crf_mod.CrfParams | None
 
 
-class _ShapesOnly:
-    """Stands in for the initializers' generator when every value will be
-    overwritten: each draw is an uninitialized array of the right shape."""
-
-    @staticmethod
-    def uniform(low: float, high: float, size) -> Array:
-        return np.empty(size)
-
-
 # checkpoint names of the LSTM gate blocks, in stacking order
 GATES = "ifco"
 
 
-def _draw(config: ModelConfig, vocab: NgramVocab, rng) -> Layers:
-    """Freshly initialized containers; the draws run embedder first."""
-    _, use_composer, bidirectional, use_crf = VARIANTS[config.variant]
-    embedder = SubwordEmbedder.init(
-        vocab, config.d_emb, orders=config.feature_orders(), use_composer=use_composer, rng=rng
-    )
-    enc_out = 2 * config.hidden if bidirectional else config.hidden
-    encoder = []
-    d_in = embedder.feature_width
-    for _ in range(config.num_layers):
-        fwd = LstmParams.init(d_in, config.hidden, rng)
-        bwd = LstmParams.init(d_in, config.hidden, rng) if bidirectional else None
-        encoder.append((fwd, bwd))
-        d_in = enc_out
-    width = config.attn_width if config.attn_width > 0 else enc_out
-    hidden_proj = DenseParams.init(enc_out, width, rng)
-    attn = AttentionParams.init(width, rng) if config.use_attention else None
-    out_proj = DenseParams.init(width, N_TAGS, rng)
-    crf = crf_mod.CrfParams.init(N_TAGS, rng) if use_crf else None
-    if crf is not None and not config.use_start_scores:
-        crf.start[:] = 0.0
-    return Layers(embedder, encoder, hidden_proj, attn, out_proj, crf)
-
-
-def _named(layers: Layers) -> dict[str, Array]:
-    """Every tensor under its checkpoint name, in layout order: the order
+def _layout(config: ModelConfig, vocab: NgramVocab) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every tensor's checkpoint name and shape, lazily, from a resolved
+    config and the vocabulary sizes alone, in layout order: the order
     backprop produces the gradients, output layer first. Clipping adds up
     one sum of squares per tensor in this order, and trained checkpoints
     depend on that rounding."""
-    out: dict[str, Array] = {}
+    _, use_composer, bidirectional, use_crf = VARIANTS[config.variant]
+    orders = config.feature_orders()
+    d, h = config.d_emb, config.hidden
+    enc_out = 2 * h if bidirectional else h
+    width = config.attn_width if config.attn_width > 0 else enc_out
 
-    def put(prefix: str, p) -> None:
-        if isinstance(p, LstmParams):  # one tensor per gate block: W_i .. W_o
-            n = p.hidden_dim
-            out.update((f"{prefix}{f.name}_{g}", getattr(p, f.name)[k * n : (k + 1) * n])
-                       for f in dataclasses.fields(p) for k, g in enumerate(GATES))
-        elif p is not None:
-            out.update((prefix + f.name, getattr(p, f.name)) for f in dataclasses.fields(p))
+    def lstm(prefix: str, d_in: int, n: int):  # one tensor per gate block: W_i .. b_o
+        for field, shape in (("W", (n, n)), ("U", (n, d_in)), ("b", (n,))):
+            yield from ((f"{prefix}{field}_{g}", shape) for g in GATES)
 
-    put("out.", layers.out_proj)
-    put("attn.", layers.attn)
-    put("dense.", layers.hidden_proj)
-    for i in range(len(layers.encoder) - 1, -1, -1):
-        put(f"enc{i}.fwd.", layers.encoder[i][0])
-        put(f"enc{i}.bwd.", layers.encoder[i][1])
-    out.update((f"emb.{n}", t) for n, t in layers.embedder.tables.items())
-    put("composer.fwd.", layers.embedder.fwd)
-    put("composer.bwd.", layers.embedder.bwd)
-    put("crf.", layers.crf)
-    return out
+    yield from (("out.W", (width, N_TAGS)), ("out.b", (N_TAGS,)))
+    if config.use_attention:
+        yield from ((f"attn.W_{k}", (width, width)) for k in "qkvo")
+    yield from (("dense.W", (enc_out, width)), ("dense.b", (width,)))
+    for i in range(config.num_layers - 1, -1, -1):
+        d_in = enc_out if i else len(orders) * d + (2 * d if use_composer else 0)
+        for direction in ("fwd", "bwd") if bidirectional else ("fwd",):
+            yield from lstm(f"enc{i}.{direction}.", d_in, h)
+    for n in orders:
+        if n not in vocab.maps:
+            raise UninitializedEmbedder(f"vocab has no order-{n} table")
+        yield f"emb.{n}", (vocab.size(n), d)
+    if use_composer:
+        yield from lstm("composer.fwd.", len(orders) * d, d)
+        yield from lstm("composer.bwd.", len(orders) * d, d)
+    if use_crf:
+        yield from (("crf.transitions", (N_TAGS, N_TAGS)), ("crf.start", (N_TAGS,)))
+
+
+def _draw(layers: Layers, vocab: NgramVocab, rng: np.random.Generator) -> None:
+    """Write initial values into every container, each shape read from
+    the container; the draws run embedder first."""
+
+    def fill(dst, src) -> None:
+        for f in dataclasses.fields(dst):
+            getattr(dst, f.name)[...] = getattr(src, f.name)
+
+    emb = layers.embedder
+    fresh = SubwordEmbedder.init(vocab, emb.dim, orders=emb.orders, use_composer=emb.use_composer, rng=rng)
+    for n in emb.orders:
+        emb.tables[n][...] = fresh.tables[n]
+    if emb.use_composer:
+        fill(emb.fwd, fresh.fwd)
+        fill(emb.bwd, fresh.bwd)
+    for fwd, bwd in layers.encoder:
+        for p in (fwd, bwd) if bwd is not None else (fwd,):
+            fill(p, LstmParams.init(p.input_dim, p.hidden_dim, rng))
+    fill(layers.hidden_proj, DenseParams.init(*layers.hidden_proj.W.shape, rng))
+    if layers.attn is not None:
+        fill(layers.attn, AttentionParams.init(layers.attn.W_q.shape[0], rng))
+    fill(layers.out_proj, DenseParams.init(*layers.out_proj.W.shape, rng))
+    if layers.crf is not None:
+        fill(layers.crf, crf_mod.CrfParams.init(layers.crf.n_tags, rng))
 
 
 class Model:
@@ -280,25 +280,26 @@ class Model:
     are views of it.
     """
 
-    def __init__(self, config: ModelConfig, vocab: NgramVocab, draw: bool = True):
-        """With draw False, theta is left uninitialized for a loader that
-        writes every tensor."""
+    def __init__(self, config: ModelConfig, vocab: NgramVocab, theta: Array | None = None):
+        """Given theta, a vector of the layout's size that a loader fills,
+        the parameters are its views and nothing is drawn."""
         config = config.resolve()
         self.config = config
         self.vocab = vocab
-        rng = np.random.default_rng([config.seed, 0]) if draw else _ShapesOnly()
-        fresh = _named(_draw(config, vocab, rng))
         self.layout: dict[str, tuple[slice, tuple[int, ...]]] = {}
         size = 0
-        for name, arr in fresh.items():
-            self.layout[name] = (slice(size, size + arr.size), arr.shape)
-            size += arr.size
-        self.theta = np.empty(size)
-        if draw:  # one tensor at a time, so each drawn array is freed once copied
-            for name, (sl, _) in self.layout.items():
-                self.theta[sl] = fresh.pop(name).reshape(-1)
-        (self.embedder, self.encoder, self.hidden_proj,
-         self.attn, self.out_proj, self.crf) = self._bind(self.theta)
+        for name, shape in _layout(config, vocab):
+            self.layout[name] = (slice(size, size + math.prod(shape)), shape)
+            size += math.prod(shape)
+        if theta is not None and theta.shape != (size,):
+            raise ShapeMismatch(f"parameter vector of shape {theta.shape}, layout needs ({size},)")
+        self.theta = np.empty(size) if theta is None else theta
+        layers = self._bind(self.theta)
+        (self.embedder, self.encoder, self.hidden_proj, self.attn, self.out_proj, self.crf) = layers
+        if theta is None:
+            _draw(layers, vocab, np.random.default_rng([config.seed, 0]))
+            if self.crf is not None and not config.use_start_scores:
+                self.crf.start[:] = 0.0
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -343,13 +344,8 @@ class Model:
 
     # -- forward / backward ----------------------------------------------------
 
-    def emissions(self, text: str, mode: str = "eval", seed: int | None = None,
-                  memo: TokenMemo | None = None) -> tuple[Array, ForwardCache | None]:
-        """Emission scores (L x tags) and the cache for backprop; with a
-        memo (inference, eval mode), None, and the scores are the one-text
-        case of batch_emissions."""
-        if memo is not None:
-            return self.batch_emissions([text], memo)[0], None
+    def emissions(self, text: str, mode: str = "eval", seed: int | None = None) -> tuple[Array, ForwardCache]:
+        """Emission scores (L x tags) and the cache for backprop."""
         rng = None if seed is None else np.random.default_rng(seed)
         F, feat_cache = char_features_cached(text, self.vocab, self.embedder)
         drop = self.config.dropout
@@ -574,7 +570,7 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
 def _apply(model: Model, opt: AdamaxState, batch: Array, n: int, clip: float) -> None:
     if n > 1:
         batch /= n
-    # per-tensor sums of squares in layout order (see _named): one dot
+    # per-tensor sums of squares in layout order (see _layout): one dot
     # product over the vector rounds differently
     clip_global_norm(model.views(batch), clip)
     adamax_step(opt, model.theta, batch)
@@ -704,9 +700,12 @@ def save_model(model: Model, path, metadata: dict | None = None) -> None:
 
 
 def load_model(path, vocab: NgramVocab) -> Model:
-    """Rebuild a model from a checkpoint, verifying shapes and vocabulary;
-    each tensor is read straight into its view of the model's theta, and
-    the directory check guarantees every view is written."""
+    """Rebuild a model from a checkpoint, verifying shapes and vocabulary.
+    The directory is walked against the layout that config and vocab give,
+    up to the first missing or mis-shaped tensor, before theta is
+    allocated; the file-size check in _read_head bounds that allocation.
+    Each tensor is then read straight into its view of theta, and the
+    directory check guarantees every view is written."""
     with open(path, "rb") as f:
         config, _, vocab_sha256, entries = _read_head(f)
         if vocab.sha256() != vocab_sha256:
@@ -714,13 +713,17 @@ def load_model(path, vocab: NgramVocab) -> Model:
                 f"checkpoint was trained with vocab {vocab_sha256[:12]}..., "
                 f"got {vocab.sha256()[:12]}..."
             )
-        model = Model(ModelConfig.from_dict(config), vocab, draw=False)
-        expected = model.tensors(trainable_only=False)
-        names = {name for name, _ in entries}
-        if set(expected) != names:
-            raise ShapeMismatch(f"tensor directory mismatch: {sorted(set(expected) ^ names)}")
-        for name, shape in entries:
-            if expected[name].shape != shape:
-                raise ShapeMismatch(f"tensor {name}: {shape} vs expected {expected[name].shape}")
-            _read_tensor(f, name, expected[name])
+        config = ModelConfig.from_dict(config).resolve()
+        shapes = dict(entries)
+        expected = set()
+        for name, shape in _layout(config, vocab):
+            if shapes.get(name) != shape:
+                raise ShapeMismatch(f"tensor {name}: {shapes.get(name, 'missing')} vs expected {shape}")
+            expected.add(name)
+        if len(expected) != len(shapes):
+            raise ShapeMismatch(f"tensors not in the layout: {sorted(shapes.keys() - expected)}")
+        model = Model(config, vocab, np.empty(sum(math.prod(s) for s in shapes.values())))
+        views = model.tensors(trainable_only=False)
+        for name, _ in entries:
+            _read_tensor(f, name, views[name])
     return model

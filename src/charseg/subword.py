@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -110,9 +110,12 @@ class NgramVocab:
 
     @classmethod
     def load(cls, path) -> "NgramVocab":
-        maps: dict[int, dict[str, int]] = {}
-        freqs: dict[int, dict[str, int]] = {}
+        """Read a saved vocabulary; each order's ids must be exactly
+        _first_free(n) .. size(n) - 1, each n-gram and id listed once."""
+        maps: dict[int, dict[str, int]] = defaultdict(dict)
+        freqs: dict[int, dict[str, int]] = defaultdict(dict)
         min_freq: dict[int, int] = {}
+        id_lines: dict[int, dict[int, int]] = defaultdict(dict)  # order -> id -> line number
         lines = utf8_lines(path, newline="\n")
         _, header = next(lines, (1, ""))
         header = header.rstrip("\n")
@@ -133,15 +136,27 @@ class NgramVocab:
                 n = int(parts[0])
                 gram = _unescape_ngram(parts[1], line_no)
                 gid = int(parts[2])
-                maps.setdefault(n, {})[gram] = gid
-                freqs.setdefault(n, {})[gram] = int(parts[3])
+                freq = int(parts[3])
             except ValueError as exc:
                 raise BadTag(line_no, f"expected <n>\\t<ngram>\\t<id>\\t<freq>: {exc}") from None
+            if gram in maps[n]:
+                raise BadTag(line_no, f"repeated order-{n} n-gram {parts[1]!r}")
+            if gid in id_lines[n]:
+                raise BadTag(line_no, f"order-{n} id {gid} already used on line {id_lines[n][gid]}")
+            maps[n][gram] = gid
+            freqs[n][gram] = freq
+            id_lines[n][gid] = line_no
+        # distinct ids all in range are exactly the range
+        for n, lines_of in id_lines.items():
+            first = _first_free(n)
+            for gid, line_no in lines_of.items():
+                if not first <= gid < first + len(lines_of):
+                    raise BadTag(line_no, f"order-{n} id {gid} outside {first}..{first + len(lines_of) - 1}")
         orders = tuple(sorted(min_freq))
-        for n in orders:
+        for n in orders:  # an order may have no entries
             maps.setdefault(n, {})
             freqs.setdefault(n, {})
-        return cls(orders=orders, maps=maps, freqs=freqs, min_freq=min_freq)
+        return cls(orders=orders, maps=dict(maps), freqs=dict(freqs), min_freq=min_freq)
 
 
 def _unescape_ngram(text: str, line_no: int) -> str:
@@ -254,11 +269,17 @@ class ComposerCache:
     lstm: BiLstmCache
 
 
-def _compose(tokens: list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
+def _token_ids(tokens: Iterable[str], vocab: NgramVocab, orders: tuple[int, ...]) -> dict[str, dict[int, Array]]:
+    """Each distinct token's anchored ids per order, looked up once."""
+    return {t: {n: vocab.anchored_ids(t, n) for n in orders} for t in dict.fromkeys(tokens)}
+
+
+def _compose(tokens: list[str], token_ids: dict[str, dict[int, Array]], embedder: SubwordEmbedder,
              cache: bool = False) -> tuple[Array, ComposerCache | None]:
     """Composed vectors of tokens, one row each, from one packed composer
-    pass; with cache (one token), also its cache for backprop."""
-    ids = {n: np.concatenate([vocab.anchored_ids(t, n) for t in tokens]) for n in embedder.orders}
+    pass over their ids (see _token_ids); with cache (one token), also
+    its cache for backprop."""
+    ids = {n: np.concatenate([token_ids[t][n] for t in tokens]) for n in embedder.orders}
     X = np.hstack([embedder.tables[n][ids[n]] for n in embedder.orders])
     lengths = [len(t) for t in tokens]
     Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache, lengths)
@@ -277,18 +298,6 @@ class TokenMemo(dict):
     tokens = composed = batches = 0
 
 
-def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:
-    """Token vector: forward state after the last position, backward state
-    at the first position, concatenated."""
-    if not token:
-        raise ValueError("empty token")
-    if not embedder.use_composer or embedder.fwd is None:
-        raise UninitializedEmbedder("embedder was built without a composer")
-    embedder.check_vocab(vocab)
-    vec, _ = _compose([token], vocab, embedder, cache=True)
-    return vec[0]
-
-
 @dataclass
 class FeatureCache:
     text: str
@@ -296,11 +305,6 @@ class FeatureCache:
     spans: list[tuple[int, int]]
     composers: list[ComposerCache] | None   # one per span, None without composer
     width: int
-
-
-def char_features(text: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:
-    F, _ = char_features_cached(text, vocab, embedder)
-    return F
 
 
 def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
@@ -316,11 +320,12 @@ def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: Sub
     text = "".join(texts)
     L = len(text)
     dim = embedder.dim
+    tokens = [text[a:b] for a, b in spans]
+    token_ids = _token_ids(tokens, vocab, embedder.orders)
     ids = {n: np.full(L, PAD_ID if n > 1 else SPACE_ID, dtype=np.int64) for n in embedder.orders}
-    for a, b in spans:
-        token = text[a:b]
+    for (a, b), token in zip(spans, tokens):
         for n in embedder.orders:
-            ids[n][a:b] = vocab.anchored_ids(token, n)
+            ids[n][a:b] = token_ids[token][n]
     F = np.zeros((L, embedder.feature_width))
     col = 0
     for n in embedder.orders:
@@ -329,16 +334,15 @@ def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: Sub
     composers = None
     if embedder.use_composer and memo is None:
         composers = []
-        for a, b in spans:
-            vec, cc = _compose([text[a:b]], vocab, embedder, cache=True)
+        for (a, b), token in zip(spans, tokens):
+            vec, cc = _compose([token], token_ids, embedder, cache=True)
             F[a:b, col:] = vec
             composers.append(cc)
     elif embedder.use_composer:
-        tokens = [text[a:b] for a, b in spans]
         vecs = {t: memo.get(t) for t in tokens}
         new = [t for t, vec in vecs.items() if vec is None]
         if new:
-            vecs.update(zip(new, _compose(new, vocab, embedder)[0]))
+            vecs.update(zip(new, _compose(new, token_ids, embedder)[0]))
         for (a, b), token in zip(spans, tokens):
             F[a:b, col:] = vecs[token]
         if len(memo) + len(new) > MEMO_TOKENS:

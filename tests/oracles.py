@@ -5,7 +5,12 @@ in ``nncore.lstm_forward``, using ``sigmoid_masked``, the logistic function
 that ``nncore.sigmoid`` must match bit for bit; ``attention_weights`` is
 the softmax that ``nncore.self_attention`` must match bit for bit;
 ``brute_force_paths`` enumerates every tag path of a CRF instance;
-``grad_check`` compares analytic gradients with central finite
+``compose_subword`` and ``char_features`` run the token composer and the
+feature pass on one token or text; ``parse_report`` reads a JSON-lines
+evaluation report back;
+``reference_parameters`` builds a model's initial tensors by running the
+initializers and naming what they return, the way models were built
+before the layout was computed from config and vocabulary; ``grad_check`` compares analytic gradients with central finite
 differences, tensor by tensor, over dicts that ``named`` (one parameter
 container) or ``Model.views`` (a whole model) build.
 """
@@ -13,14 +18,19 @@ container) or ``Model.views`` (a whole model) build.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from charseg.corpus import N_TAGS
 from charseg.crf import ConstraintMask, CrfParams, _masked
-from charseg.errors import CharsegError, NoAllowedPath
-from charseg.nncore import LstmParams, softmax
+from charseg.errors import CharsegError, NoAllowedPath, UninitializedEmbedder
+from charseg.metrics import PRF, MetricsReport, TagCounts
+from charseg.model import GATES, VARIANTS, ModelConfig
+from charseg.nncore import AttentionParams, DenseParams, LstmParams, softmax
+from charseg.subword import NgramVocab, SubwordEmbedder, _compose, _token_ids, char_features_cached
 
 Array = np.ndarray
 
@@ -118,6 +128,103 @@ def brute_force_paths(
     m = float(np.max(arr))
     log_z = m + float(np.log(np.sum(np.exp(arr - m))))
     return best_path, best_score, log_z
+
+
+def reference_parameters(config: ModelConfig, vocab: NgramVocab) -> dict[str, Array]:
+    """A fresh model's tensors under their checkpoint names, in layout
+    order: the initializers run embedder first from the model's seed,
+    every size is taken from what they return, and the tensors are then
+    named output layer first, one tensor per LSTM gate block."""
+    config = config.resolve()
+    rng = np.random.default_rng([config.seed, 0])
+    _, use_composer, bidirectional, use_crf = VARIANTS[config.variant]
+    embedder = SubwordEmbedder.init(
+        vocab, config.d_emb, orders=config.feature_orders(), use_composer=use_composer, rng=rng
+    )
+    enc_out = 2 * config.hidden if bidirectional else config.hidden
+    encoder = []
+    d_in = embedder.feature_width
+    for _ in range(config.num_layers):
+        fwd = LstmParams.init(d_in, config.hidden, rng)
+        bwd = LstmParams.init(d_in, config.hidden, rng) if bidirectional else None
+        encoder.append((fwd, bwd))
+        d_in = enc_out
+    width = config.attn_width if config.attn_width > 0 else enc_out
+    hidden_proj = DenseParams.init(enc_out, width, rng)
+    attn = AttentionParams.init(width, rng) if config.use_attention else None
+    out_proj = DenseParams.init(width, N_TAGS, rng)
+    crf = CrfParams.init(N_TAGS, rng) if use_crf else None
+    if crf is not None and not config.use_start_scores:
+        crf.start[:] = 0.0
+
+    out: dict[str, Array] = {}
+
+    def put(prefix: str, p) -> None:
+        if isinstance(p, LstmParams):
+            n = p.hidden_dim
+            out.update((f"{prefix}{f.name}_{g}", getattr(p, f.name)[k * n : (k + 1) * n])
+                       for f in dataclasses.fields(p) for k, g in enumerate(GATES))
+        elif p is not None:
+            out.update((prefix + f.name, getattr(p, f.name)) for f in dataclasses.fields(p))
+
+    put("out.", out_proj)
+    put("attn.", attn)
+    put("dense.", hidden_proj)
+    for i in range(len(encoder) - 1, -1, -1):
+        put(f"enc{i}.fwd.", encoder[i][0])
+        put(f"enc{i}.bwd.", encoder[i][1])
+    out.update((f"emb.{n}", t) for n, t in embedder.tables.items())
+    put("composer.fwd.", embedder.fwd)
+    put("composer.bwd.", embedder.bwd)
+    put("crf.", crf)
+    return out
+
+
+def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:
+    """Token vector: forward state after the last position, backward state
+    at the first position, concatenated."""
+    if not token:
+        raise ValueError("empty token")
+    if not embedder.use_composer or embedder.fwd is None:
+        raise UninitializedEmbedder("embedder was built without a composer")
+    embedder.check_vocab(vocab)
+    vec, _ = _compose([token], _token_ids([token], vocab, embedder.orders), embedder, cache=True)
+    return vec[0]
+
+
+def char_features(text: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:
+    F, _ = char_features_cached(text, vocab, embedder)
+    return F
+
+
+def parse_report(path: str) -> MetricsReport:
+    """Rebuild a report from its JSON-lines form (floats at emitted precision)."""
+    per_tag: dict[str, TagCounts] = {}
+    agg: dict[str, PRF] = {}
+    token = None
+    model = ""
+    sentences = positions = 0
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            row = json.loads(line)
+            kind = row["kind"]
+            m = PRF(p=float(row["p"]), r=float(row["r"]), f=float(row["f"]))
+            if kind == "per_tag":
+                per_tag[row["tag"]] = TagCounts(
+                    correct=row["correct"], predicted=row["predicted"], true=row["true"]
+                )
+            elif kind in ("micro", "micro_excl_x", "macro"):
+                agg[kind] = m
+                model = row["model"]
+                sentences = row["sentences"]
+                positions = row["positions"]
+            elif kind == "token":
+                token = m
+    return MetricsReport(
+        model=model, n_sentences=sentences, n_positions=positions,
+        per_tag=per_tag, micro=agg["micro"], micro_excl_x=agg["micro_excl_x"],
+        macro=agg["macro"], token=token,
+    )
 
 
 def named(params, prefix: str = "") -> dict[str, Array]:

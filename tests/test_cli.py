@@ -1,15 +1,20 @@
 import builtins
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import charseg
 from charseg import model as model_mod
 from charseg.cli import main
 from charseg.corpus import read_labeled
-from charseg.metrics import parse_report
 from charseg.synth import make_lexicon, make_sentences
+
+from oracles import parse_report
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +429,70 @@ def test_oversized_header_length_exit_code(tmp_path, capsys):
                  "--input", str(inp), "--output", str(tmp_path / "out.txt")]) == 2
     err = capsys.readouterr().err
     assert err.count("error: truncated checkpoint header") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["id-out-of-range", "repeated-id", "repeated-ngram"])
+def test_train_rejects_inconsistent_vocab_ids(prepared, tmp_path, capsys, case):
+    # each order's ids must be exactly 3.. (unigrams) or 2.. (longer n-grams)
+    # up to the table size, each used once: a stray id would index past
+    # the embedding table mid-training
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train.tsv", "dev.tsv", "test.tsv"):
+        (data / name).write_bytes((prepared / name).read_bytes())
+    lines = (prepared / "vocab.tsv").read_text(encoding="utf-8").split("\n")
+    first = next(i for i, line in enumerate(lines) if line.startswith("1\t"))
+    a, b = lines[first].split("\t"), lines[first + 1].split("\t")
+    if case == "id-out-of-range":
+        a[2] = "999"
+        bad = first
+    elif case == "repeated-id":
+        b[2] = a[2]
+        bad = first + 1
+    else:
+        b[1] = a[1]
+        bad = first + 1
+    lines[first], lines[first + 1] = "\t".join(a), "\t".join(b)
+    (data / "vocab.tsv").write_text("\n".join(lines), encoding="utf-8")
+    assert main(["train", str(data), "--out", str(tmp_path / "run"), "--epochs", "1",
+                 "--d-emb", "4", "--hidden", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {bad + 1}: ") and err.count("\n") == 1, err
+
+
+# segment in a child process that caps its own address space at 1 GiB once
+# charseg is imported, then prints its exit code and peak RSS
+CAPPED_CHILD = """
+import json, resource, sys
+from charseg.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+@pytest.mark.parametrize("field, value", [("hidden", 10**7), ("d_emb", 10**6), ("num_layers", 10**6)])
+def test_huge_checkpoint_config_exits_2_before_allocating(tmp_path, field, value):
+    # the tensor directory is checked against the layout the config implies
+    # before the parameter vector is allocated: no MemoryError, small RSS
+    v1 = Path(__file__).parent / "data" / "v1_sgnws"
+    ckpt = tmp_path / "checkpoint.bin"
+    edit_checkpoint(v1 / "checkpoint.bin", ckpt, lambda h: h["config"].update({field: value}))
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd\n", encoding="utf-8")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(charseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, "segment", "--checkpoint", str(ckpt), "--vocab", str(v1 / "vocab.tsv"),
+         "--input", str(inp), "--output", str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: tensor "), proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 2
+    assert report["maxrss_kb"] < 150 * 1024, report
+    assert not (tmp_path / "out.txt").exists()
 
 
 # ---------------------------------------------------------------------------

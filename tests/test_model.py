@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charseg import subword
 from charseg.corpus import (
@@ -17,7 +19,7 @@ from charseg.corpus import (
     tags_match_whitespace,
 )
 from charseg.crf import grammar_mask, viterbi_decode
-from charseg.errors import BadConfig, BadMagic, EmptyCorpus, ShapeMismatch, VocabMismatch
+from charseg.errors import BadConfig, BadMagic, CharsegError, EmptyCorpus, ShapeMismatch, VocabMismatch
 from charseg.model import (
     BATCH_CHARS,
     Model,
@@ -32,9 +34,10 @@ from charseg.model import (
 from charseg.subword import NgramVocab, TokenMemo, build_vocab
 from charseg.synth import make_lexicon, make_sentences, make_split
 
-from oracles import grad_check
+from oracles import grad_check, reference_parameters
 
 V1_DIR = Path(__file__).parent / "data" / "v1_sgnws"
+V1_VOCAB = NgramVocab.load(V1_DIR / "vocab.tsv")
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +236,39 @@ def test_layout_names_and_stacked_gate_views(tiny):
             n = p.hidden_dim
             for k, g in enumerate("ifco"):
                 assert span(named[f"{prefix}{field}_{g}"]) == span(stacked[k * n : (k + 1) * n])
+
+
+LAYOUT_VARIANTS = ["lstm_softmax", "bilstm_softmax", "bilstm_crf", "bilstm_crf_char",
+                   "bilstm_crf_bigram", "bilstm_crf_trigram", "sgnws"]
+LAYOUT_SETTINGS = {"default": {}, "3-layer": {"num_layers": 3}, "attn-10": {"attn_width": 10},
+                   "no-4grams": {"use_4grams": False}, "no-start": {"use_start_scores": False},
+                   "seed-7": {"seed": 7}}
+
+
+@pytest.mark.parametrize("setting", list(LAYOUT_SETTINGS))
+@pytest.mark.parametrize("variant", LAYOUT_VARIANTS)
+def test_layout_and_initial_theta_match_reference(tiny, variant, setting):
+    # the layout computed from config and vocabulary names, shapes and
+    # orders the tensors exactly as running the initializers did, and the
+    # draws written into theta are the same bits
+    _, vocab = tiny
+    config = tiny_config(variant=variant, **LAYOUT_SETTINGS[setting])
+    model = Model(config, vocab)
+    ref = reference_parameters(config, vocab)
+    assert [(name, shape) for name, (_, shape) in model.layout.items()] == [(n, a.shape) for n, a in ref.items()]
+    assert model.theta.tobytes() == np.concatenate([a.reshape(-1) for a in ref.values()]).tobytes()
+
+
+def test_model_over_given_vector(tiny):
+    # a loader passes the vector it fills: the parameters are its views and
+    # nothing is drawn into it; a vector of another size is refused
+    _, vocab = tiny
+    theta = np.full(Model(tiny_config(), vocab).theta.size, 0.5)
+    model = Model(tiny_config(), vocab, theta)
+    assert model.theta is theta and np.all(theta == 0.5)
+    assert np.shares_memory(model.encoder[0][1].U, theta)
+    with pytest.raises(ShapeMismatch):
+        Model(tiny_config(), vocab, np.empty(theta.size - 1))
 
 
 def test_loss_gradient_is_zero_at_frozen_start(tiny):
@@ -554,6 +590,28 @@ def test_checkpoint_from_per_gate_arrays_loads(tmp_path):
     assert model.predict(text) == "SSSSSSSXSSXSSXSSXSSSSSSSXSSSSSXSSSSSXSSSSS"
     save_model(model, tmp_path / "again.bin", metadata={"epoch": 0})
     assert (tmp_path / "again.bin").read_bytes() == (V1_DIR / "checkpoint.bin").read_bytes()
+
+
+V1_BYTES = (V1_DIR / "checkpoint.bin").read_bytes()
+V1_HEAD_END = 16 + struct.unpack("<Q", V1_BYTES[8:16])[0]
+
+
+# positions in the magic, lengths and JSON header half the time
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(0, V1_HEAD_END - 1), st.integers(0, len(V1_BYTES) - 1)),
+                          st.integers(0, 255)), min_size=1, max_size=8))
+def test_mutated_checkpoint_loads_or_raises_charseg_error(tmp_path_factory, edits):
+    # any bytes either load or raise the package's own errors (exit 2 in
+    # the CLI): never MemoryError, IndexError, KeyError ...
+    blob = bytearray(V1_BYTES)
+    for pos, value in edits:
+        blob[pos] = value
+    path = tmp_path_factory.getbasetemp() / "mutated.bin"
+    path.write_bytes(bytes(blob))
+    try:
+        load_model(path, V1_VOCAB)
+    except CharsegError:
+        pass
 
 
 def test_truncated_checkpoint_rejected(tiny, tmp_path):

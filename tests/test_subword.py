@@ -18,14 +18,12 @@ from charseg.subword import (
     SubwordEmbedder,
     anchored_ngrams,
     build_vocab,
-    char_features,
     char_features_backward,
     char_features_cached,
-    compose_subword,
     extract_ngrams,
 )
 
-from oracles import grad_check, named
+from oracles import char_features, compose_subword, grad_check, named
 
 
 def small_vocab(sentences=("ab abc a", "abc ab")):
