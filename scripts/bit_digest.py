@@ -23,11 +23,15 @@ GEMM and the sequences run together) and the training forward's,
 relative to the largest emission, on the same sentences before and after
 training. It is not hashed.
 
-Run it with the same arguments on both commits: equal digests mean equal
-numbers. Where the arithmetic may round differently, ``--save FILE`` keeps
-the raw losses and gradients of a run and ``--against FILE`` prints, per
-case, the worst relative loss difference and the worst gradient difference
-relative to the gradient's largest entry against such a file.
+``--save FILE`` keeps each case's digest and its raw losses and
+gradients. ``--against FILE`` prints, per case, ``digest same`` or
+``DIFFERS`` against such a file, and where the arithmetic may round
+differently, the worst relative loss difference and the worst gradient
+difference relative to the gradient's largest entry; it exits 1 if any
+digest differs. To show that a change keeps the bits:
+
+    PYTHONPATH=<parent checkout>/src python3 scripts/bit_digest.py --save parent.npz
+    PYTHONPATH=src python3 scripts/bit_digest.py --against parent.npz
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -104,28 +109,34 @@ def run_case(split, vocab, size: str, overrides: dict) -> tuple[str, np.ndarray,
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", default=SIZES, help=f"comma-separated d_emb/hidden pairs (default {SIZES})")
-    ap.add_argument("--save", help="write the raw losses and gradients to this .npz file")
-    ap.add_argument("--against", help="compare with the losses and gradients in this .npz file")
+    ap.add_argument("--save", help="write the digests, raw losses and gradients to this .npz file")
+    ap.add_argument("--against", help="compare with the digests, losses and gradients in this .npz file")
     args = ap.parse_args()
 
     split = make_split(n_train=6, n_dev=3, lexicon_seed=5, sentence_seed=6, n_words=40)
     vocab = build_vocab([s.text for s, _ in split.train])
     saved = dict(np.load(args.against)) if args.against else None
     raw = {}
+    differs = 0
     for size in args.sizes.split(","):
         for name, overrides in VARIANTS.items():
             digest, losses, grads, rel = run_case(split, vocab, size, overrides)
             line = f"{name:<16} {size:<7} {digest}  infer rel {rel:.2e}"
             case = f"{name}@{size}"
-            raw[case + ".loss"], raw[case + ".grad"] = losses, grads
+            raw[case + ".digest"], raw[case + ".loss"], raw[case + ".grad"] = np.array(digest), losses, grads
             if saved is not None:
+                same = str(saved[case + ".digest"]) == digest
+                differs += not same
                 ref_l, ref_g = saved[case + ".loss"], saved[case + ".grad"]
                 loss_rel = float(np.max(np.abs(losses - ref_l) / np.abs(ref_l)))
                 grad_rel = float(np.max(np.abs(grads - ref_g)) / np.max(np.abs(ref_g)))
-                line += f"  loss rel {loss_rel:.2e}  grad rel {grad_rel:.2e}"
+                line += f"  {'digest same' if same else 'DIFFERS'}  loss rel {loss_rel:.2e}  grad rel {grad_rel:.2e}"
             print(line, flush=True)
     if args.save:
         np.savez(args.save, **raw)
+    if differs:
+        print(f"{differs} of {len(raw) // 3} digests differ", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import re
 import unicodedata
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
@@ -35,8 +34,6 @@ WHITESPACE = frozenset({" ", "\t"})
 # intra-token hyphens (dates, ranges) survive
 DELIMITERS = frozenset({".", ",", "?", ":", ";", "!"})
 DASH = "-"
-
-_TAG_GRAMMAR = re.compile(r"^(X|S|BI*E)*$")
 
 
 def normalize_text(raw: bytes | str) -> str:
@@ -274,16 +271,6 @@ def segmentation_from_tags(chars: str, tags: str) -> tuple[list[str], int]:
         raise LengthMismatch(f"{len(chars)} characters vs {len(tags)} tags")
     spans, repairs = tags_to_spans(tags)
     return [chars[a:b] for a, b in spans], repairs
-
-
-def tags_are_valid(tags: str) -> bool:
-    return _TAG_GRAMMAR.match(tags) is not None
-
-
-def tags_match_whitespace(text: str, tags: str) -> bool:
-    if len(text) != len(tags):
-        return False
-    return all((tag == "X") == (ch in WHITESPACE) for ch, tag in zip(text, tags))
 
 
 def tag_ids(tags: str) -> np.ndarray:

@@ -199,10 +199,11 @@ def nll_loss(
     d_emissions = gamma.copy()
     d_emissions[np.arange(L), gold] -= 1.0
 
+    # every step's pair marginals from one exp, summed in the stepwise order
+    pairs = np.exp(alpha[:-1, :, None] + trans + (emis[1:] + beta[1:])[:, None, :] - log_z)
     d_trans = np.zeros((K, K))
     for t in range(1, L):
-        pair = alpha[t - 1][:, None] + trans + (emis[t] + beta[t])[None, :] - log_z
-        d_trans += np.exp(pair)
+        d_trans += pairs[t - 1]
         d_trans[gold[t - 1], gold[t]] -= 1.0
 
     d_start = gamma[0].copy()

@@ -128,8 +128,9 @@ class ModelConfig:
         for name in ("d_emb", "hidden", "num_layers", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise BadConfig(f"{name} must be >= 1")
-        if self.lr <= 0 or self.grad_clip <= 0 or self.lr_decay <= 0:
-            raise BadConfig("lr, grad_clip and lr_decay must be positive")
+        for name in ("lr", "grad_clip", "lr_decay"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise BadConfig(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not (0.0 <= self.dropout < 1.0):
             raise BadConfig("dropout must lie in [0, 1)")
         if self.attn_width < 0:

@@ -45,15 +45,6 @@ _NG_ESCAPE = {"\\": "\\\\", "\t": "\\t", " ": "\\s", FILLER: "\\p"}
 _NG_UNESCAPE = {"\\\\": "\\", "\\t": "\t", "\\s": " ", "\\p": FILLER}
 
 
-def extract_ngrams(token: str, n: int) -> list[str]:
-    """Sliding windows of width n; a too-short token yields one padded window."""
-    if not token:
-        raise ValueError("empty token")
-    if len(token) < n:
-        return [token + FILLER * (n - len(token))]
-    return [token[i : i + n] for i in range(len(token) - n + 1)]
-
-
 def anchored_ngrams(token: str, n: int) -> list[str]:
     """One window per character position, right-padded at the token end."""
     return [(token[i : i + n] + FILLER * n)[:n] for i in range(len(token))]
@@ -148,6 +139,8 @@ class NgramVocab:
             id_lines[n][gid] = line_no
         # distinct ids all in range are exactly the range
         for n, lines_of in id_lines.items():
+            if n not in min_freq:  # sha256 and save would drop the order
+                raise BadTag(min(lines_of.values()), f"order-{n} n-gram without a #min_freq line")
             first = _first_free(n)
             for gid, line_no in lines_of.items():
                 if not first <= gid < first + len(lines_of):

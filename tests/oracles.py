@@ -2,39 +2,72 @@
 
 ``lstm_cell`` is one LSTM update written gate by gate from the equations
 in ``nncore.lstm_forward``, using ``sigmoid_masked``, the logistic function
-that ``nncore.sigmoid`` must match bit for bit; ``attention_weights`` is
-the softmax that ``nncore.self_attention`` must match bit for bit;
-``brute_force_paths`` enumerates every tag path of a CRF instance;
-``compose_subword`` and ``char_features`` run the token composer and the
-feature pass on one token or text; ``parse_report`` reads a JSON-lines
-evaluation report back;
-``reference_parameters`` builds a model's initial tensors by running the
-initializers and naming what they return, the way models were built
-before the layout was computed from config and vocabulary; ``grad_check`` compares analytic gradients with central finite
-differences, tensor by tensor, over dicts that ``named`` (one parameter
-container) or ``Model.views`` (a whole model) build.
+that ``nncore.sigmoid`` must match bit for bit;
+``lstm_forward_stepwise``, ``lstm_backward_stepwise`` and
+``nll_loss_stepwise`` are the kernels as they were before the work that
+does not depend on the recurrence left their step loops (one direction
+per loop, a product with U per forward step, four products with W and
+some 30 elementwise calls per backward step, one pair marginal per CRF
+step): the bits the package's kernels must keep;
+``tags_are_valid`` checks a tag string against the boundary grammar and
+``tags_match_whitespace`` its X tags against a text's whitespace;
+``extract_ngrams`` lists a token's sliding n-gram windows;
+``attention_weights`` is the softmax that ``nncore.self_attention`` must
+match bit for bit; ``brute_force_paths`` enumerates every tag path of a
+CRF instance; ``compose_subword`` and ``char_features`` run the token
+composer and the feature pass on one token or text; ``parse_report``
+reads a JSON-lines evaluation report back; ``reference_parameters``
+builds a model's initial tensors by running the initializers and naming
+what they return, the way models were built before the layout was
+computed from config and vocabulary; ``grad_check`` compares analytic
+gradients with central finite differences, tensor by tensor, over dicts
+that ``named`` (one parameter container) or ``Model.views`` (a whole
+model) build.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from charseg.corpus import N_TAGS
-from charseg.crf import ConstraintMask, CrfParams, _masked
-from charseg.errors import CharsegError, NoAllowedPath, UninitializedEmbedder
+from charseg.corpus import N_TAGS, WHITESPACE
+from charseg.crf import ConstraintMask, CrfGrads, CrfParams, _forward, _masked, _path_score
+from charseg.errors import CharsegError, GoldPathForbidden, NoAllowedPath, ShapeMismatch, UninitializedEmbedder
 from charseg.metrics import PRF, MetricsReport, TagCounts
 from charseg.model import GATES, VARIANTS, ModelConfig
-from charseg.nncore import AttentionParams, DenseParams, LstmParams, softmax
-from charseg.subword import NgramVocab, SubwordEmbedder, _compose, _token_ids, char_features_cached
+from charseg.nncore import AttentionParams, DenseParams, LstmCache, LstmParams, _packing, logsumexp, softmax
+from charseg.subword import FILLER, NgramVocab, SubwordEmbedder, _compose, _token_ids, char_features_cached
 
 Array = np.ndarray
 
 NEG_INF = -np.inf
+
+
+_TAG_GRAMMAR = re.compile(r"^(X|S|BI*E)*$")
+
+
+def tags_are_valid(tags: str) -> bool:
+    return _TAG_GRAMMAR.match(tags) is not None
+
+
+def tags_match_whitespace(text: str, tags: str) -> bool:
+    if len(text) != len(tags):
+        return False
+    return all((tag == "X") == (ch in WHITESPACE) for ch, tag in zip(text, tags))
+
+
+def extract_ngrams(token: str, n: int) -> list[str]:
+    """Sliding windows of width n; a too-short token yields one padded window."""
+    if not token:
+        raise ValueError("empty token")
+    if len(token) < n:
+        return [token + FILLER * (n - len(token))]
+    return [token[i : i + n] for i in range(len(token) - n + 1)]
 
 
 class InstanceTooLarge(CharsegError):
@@ -65,6 +98,88 @@ def lstm_cell(params: LstmParams, h: Array, c: Array, x: Array) -> tuple[Array, 
     o = sigmoid_masked(W_o @ h + U_o @ x + b_o)
     c = f * c + i * g
     return o * np.tanh(c), c
+
+
+def lstm_forward_stepwise(params: LstmParams, X: Array, cache: bool = True,
+                 lengths: list[int] | None = None) -> tuple[Array, LstmCache | None]:
+    """Run the cell over the rows of X from the zero state. Returns hidden
+    states (L, h) and the cache for backprop.
+
+    input gate   i = sigmoid(W_i h + U_i x + b_i)
+    forget gate  f = sigmoid(W_f h + U_f x + b_f)
+    candidate    g = tanh   (W_c h + U_c x + b_c)
+    output gate  o = sigmoid(W_o h + U_o x + b_o)
+    cell         c' = f * c + i * g
+    hidden       h' = o * tanh(c')
+
+    with W_i the first h rows of W and so on; one step takes one product
+    with each of W and U. With cache False (inference) the cache is None
+    and A starts as X @ U.T, one GEMM for every step's input product (it
+    may round differently in the last bit). Inference may pass lengths:
+    X then holds sequences one after another, run together time-major
+    (see _packing) with one product with W per step, output in X's order.
+    """
+    N = X.shape[0]
+    h = params.hidden_dim
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise ShapeMismatch(f"lstm_forward: X {X.shape}, expected (L, {params.input_dim})")
+    order, sizes = _packing(lengths) if lengths is not None and len(lengths) > 1 else (None, [1] * N)
+    if order is not None and (cache or len(order) != N):
+        raise ShapeMismatch(f"lstm_forward: lengths {lengths} for {N} rows, cache {cache}")
+    A = np.empty((N, 4 * h)) if cache else X @ params.U.T
+    # (n x h) @ (h x 4h) runs 2-3x faster with W.T contiguous than as a view
+    W_T = None if order is None else np.ascontiguousarray(params.W.T)
+    # training keeps every state (row t enters step t), inference the running ones
+    HS = np.zeros((N + 1 if cache else max(sizes, default=1), h))
+    CS = np.zeros_like(HS)
+    H = HS[1:] if cache else np.empty((N, h))
+    i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
+    lo = 0
+    for n in sizes:
+        rows = slice(lo, lo + n) if order is None else order[lo : lo + n]
+        p, q = (slice(lo, lo + 1), slice(lo + 1, lo + 2)) if cache else (slice(0, n), slice(0, n))
+        a = A[rows]  # a view, or a batch's gathered rows
+        rec = params.W @ HS[p.start] if n == 1 else HS[p] @ W_T
+        pre = rec + (params.U @ X[lo] if cache else a) + params.b
+        a[...] = sigmoid_masked(pre)
+        a[:, g] = np.tanh(pre[..., g])
+        CS[q] = a[:, f] * CS[p] + a[:, i] * a[:, g]
+        HS[q] = H[rows] = a[:, o] * np.tanh(CS[q])
+        lo += n
+    return H, LstmCache(X=X, A=A, H_prev=HS[:-1], C_prev=CS[:-1], H=H, C=CS[1:]) if cache else None
+
+
+def lstm_backward_stepwise(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmParams) -> Array:
+    """Backprop through lstm_forward_stepwise; dH holds per-step gradients on the
+    emitted hidden states. Writes the weight gradients into grads and
+    returns the input gradient."""
+    L, h_dim = cache.H.shape
+    tanh_C = np.tanh(cache.C)
+    blocks = [slice(k * h_dim, (k + 1) * h_dim) for k in range(4)]
+    # the recurrent and input products stay one per gate, summed in gate
+    # order: one product over the stacked blocks rounds differently
+    W_T = [params.W[blk].T for blk in blocks]
+    dP = np.empty((L, 4 * h_dim))
+    I, F, G, O = (cache.A[:, blk] for blk in blocks)
+    dI, dF, dG, dO = (dP[:, blk] for blk in blocks)
+    carry_dh = np.zeros(h_dim)
+    carry_dc = np.zeros(h_dim)
+    for t in range(L - 1, -1, -1):
+        dh = dH[t] + carry_dh
+        i, f, g, o = I[t], F[t], G[t], O[t]
+        tc = tanh_C[t]
+        dc = carry_dc + dh * o * (1.0 - tc * tc)
+        dO[t] = (dh * tc) * o * (1.0 - o)
+        dF[t] = (dc * cache.C_prev[t]) * f * (1.0 - f)
+        dI[t] = (dc * g) * i * (1.0 - i)
+        dG[t] = (dc * i) * (1.0 - g * g)
+        carry_dh = W_T[0] @ dI[t] + W_T[1] @ dF[t] + W_T[2] @ dG[t] + W_T[3] @ dO[t]
+        carry_dc = dc * f
+    np.matmul(dP.T, cache.H_prev, out=grads.W)
+    np.matmul(dP.T, cache.X, out=grads.U)
+    np.sum(dP, axis=0, out=grads.b)
+    U_i, U_f, U_c, U_o = (params.U[blk] for blk in blocks)
+    return dI @ U_i + dF @ U_f + dG @ U_c + dO @ U_o
 
 
 def attention_weights(Q: Array, K: Array) -> Array:
@@ -128,6 +243,49 @@ def brute_force_paths(
     m = float(np.max(arr))
     log_z = m + float(np.log(np.sum(np.exp(arr - m))))
     return best_path, best_score, log_z
+
+
+def nll_loss_stepwise(
+    emissions: Array,
+    gold: np.ndarray,
+    params: CrfParams,
+    mask: ConstraintMask | None = None,
+) -> tuple[float, CrfGrads]:
+    """Negative log-likelihood of the gold path and its analytic gradients.
+
+    Gradients are expected feature counts minus gold counts, from
+    forward-backward marginals. The gradient at any masked-out entry is
+    exactly zero because its marginal probability is zero.
+    """
+    emis, start, trans, end = _masked(emissions, params, mask)
+    L, K = emis.shape
+    gold_score = _path_score(emis, gold, start, trans) + end[gold[L - 1]]
+    if not np.isfinite(gold_score):
+        raise GoldPathForbidden("gold path excluded by the constraint mask")
+
+    alpha, log_z = _forward(emis, start, trans, end)
+
+    beta = np.empty((L, K))
+    beta[L - 1] = end
+    for t in range(L - 2, -1, -1):
+        beta[t] = logsumexp(trans + (emis[t + 1] + beta[t + 1])[None, :], axis=1)
+
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(alpha + beta - log_z)  # exp(-inf) = 0 at forbidden entries
+    d_emissions = gamma.copy()
+    d_emissions[np.arange(L), gold] -= 1.0
+
+    d_trans = np.zeros((K, K))
+    for t in range(1, L):
+        pair = alpha[t - 1][:, None] + trans + (emis[t] + beta[t])[None, :] - log_z
+        d_trans += np.exp(pair)
+        d_trans[gold[t - 1], gold[t]] -= 1.0
+
+    d_start = gamma[0].copy()
+    d_start[gold[0]] -= 1.0
+
+    loss = log_z - float(gold_score)
+    return loss, CrfGrads(emissions=d_emissions, transitions=d_trans, start=d_start)
 
 
 def reference_parameters(config: ModelConfig, vocab: NgramVocab) -> dict[str, Array]:

@@ -18,7 +18,6 @@ from charseg.corpus import (
     read_labeled,
     segmentation_from_tags,
     tag_ids,
-    tags_are_valid,
     tags_from_segmentation,
 )
 from charseg.crf import CrfParams, log_partition, nll_loss, viterbi_decode
@@ -27,7 +26,7 @@ from charseg.model import Model, ModelConfig, load_model, save_model, train
 from charseg.subword import build_vocab
 from charseg.synth import labeled_pairs, make_lexicon, make_sentences, make_split
 
-from oracles import brute_force_paths, grad_check, parse_report
+from oracles import brute_force_paths, grad_check, parse_report, tags_are_valid
 from test_crf import random_mask, random_params
 
 

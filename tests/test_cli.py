@@ -1,4 +1,6 @@
 import builtins
+import contextlib
+import io
 import json
 import os
 import struct
@@ -7,11 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charseg
 from charseg import model as model_mod
 from charseg.cli import main
 from charseg.corpus import read_labeled
+from charseg.errors import CharsegError
+from charseg.subword import NgramVocab
 from charseg.synth import make_lexicon, make_sentences
 
 from oracles import parse_report
@@ -127,6 +133,16 @@ def test_train_conflicting_flags_usage_error(tmp_path):
     assert code == 1
     code = main(["train", str(tmp_path), "--variant", "bilstm_crf", "--use-attention"])
     assert code == 1
+
+
+def test_train_rejects_nan_learning_rate(prepared, tmp_path, capsys):
+    # it used to train into NaN parameters and exit 2 with a gold-path error
+    code = main(["train", str(prepared), "--out", str(tmp_path / "run"),
+                 "--epochs", "1", "--d-emb", "4", "--hidden", "6", "--lr", "nan"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "lr must be finite and positive" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 def test_unknown_flag_usage_error(tmp_path):
@@ -429,6 +445,35 @@ def test_oversized_header_length_exit_code(tmp_path, capsys):
                  "--input", str(inp), "--output", str(tmp_path / "out.txt")]) == 2
     err = capsys.readouterr().err
     assert err.count("error: truncated checkpoint header") == 2 and "Traceback" not in err
+
+
+V1_DIR = Path(__file__).parent / "data" / "v1_sgnws"
+V1_VOCAB_BYTES = (V1_DIR / "vocab.tsv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(V1_VOCAB_BYTES) - 1), st.integers(0, 255)), min_size=1, max_size=8))
+def test_mutated_vocab_loads_or_exits_2(tmp_path_factory, edits):
+    # any bytes in vocab.tsv either load or raise the package's own errors,
+    # and segment then exits 0 or 2 with no traceback
+    blob = bytearray(V1_VOCAB_BYTES)
+    for pos, value in edits:
+        blob[pos] = value
+    tmp = tmp_path_factory.mktemp("vocab")
+    vocab = tmp / "vocab.tsv"
+    vocab.write_bytes(bytes(blob))
+    try:
+        NgramVocab.load(vocab)
+    except CharsegError:
+        pass
+    inp = tmp / "in.txt"
+    inp.write_text("ab cd\nefgh\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["segment", "--checkpoint", str(V1_DIR / "checkpoint.bin"), "--vocab", str(vocab),
+                     "--input", str(inp), "--output", str(tmp / "out.txt")])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("case", ["id-out-of-range", "repeated-id", "repeated-ngram"])

@@ -13,7 +13,6 @@ from charseg.corpus import (
     split_dataset,
     split_sentences,
     tag_ids,
-    tags_are_valid,
     tags_from_segmentation,
     tags_to_spans,
     write_labeled,
@@ -27,6 +26,8 @@ from charseg.errors import (
     SpanViolation,
 )
 from charseg.synth import labeled_pairs, make_lexicon, make_sentences
+
+from oracles import tags_are_valid
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charseg.corpus import TAG_TO_ID, ids_to_tags, tags_are_valid, tags_match_whitespace
+from charseg.corpus import TAG_TO_ID, ids_to_tags
 from charseg.crf import (
     ConstraintMask,
     CrfParams,
@@ -15,7 +15,7 @@ from charseg.crf import (
 )
 from charseg.errors import GoldPathForbidden, LengthMismatch, NoAllowedPath
 
-from oracles import InstanceTooLarge, brute_force_paths
+from oracles import InstanceTooLarge, brute_force_paths, nll_loss_stepwise, tags_are_valid, tags_match_whitespace
 
 K = 5
 
@@ -290,6 +290,23 @@ def test_brute_force_single_position(rng):
 def test_brute_force_guard():
     with pytest.raises(InstanceTooLarge):
         brute_force_paths(np.zeros((15, K)), zero_params())
+
+
+@given(L=st.integers(min_value=1, max_value=9), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       masked=st.booleans())
+def test_nll_loss_keeps_stepwise_bits(L, seed, masked):
+    # all steps' pair marginals from one exp, summed in the stepwise order
+    rng = np.random.default_rng(seed)
+    emissions = rng.normal(size=(L, K)) * 3
+    params = random_params(rng)
+    mask = random_mask(rng, L) if masked else None
+    gold, _ = viterbi_decode(rng.normal(size=(L, K)), params, mask)
+    loss, grads = nll_loss(emissions, gold, params, mask)
+    loss_ref, grads_ref = nll_loss_stepwise(emissions, gold, params, mask)
+    assert float(loss).hex() == float(loss_ref).hex()
+    for name in ("emissions", "transitions", "start"):
+        got, want = getattr(grads, name), getattr(grads_ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

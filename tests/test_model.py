@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 from pathlib import Path
@@ -16,7 +17,6 @@ from charseg.corpus import (
     ids_to_tags,
     segmentation_from_tags,
     tag_ids,
-    tags_match_whitespace,
 )
 from charseg.crf import grammar_mask, viterbi_decode
 from charseg.errors import BadConfig, BadMagic, CharsegError, EmptyCorpus, ShapeMismatch, VocabMismatch
@@ -34,7 +34,7 @@ from charseg.model import (
 from charseg.subword import NgramVocab, TokenMemo, build_vocab
 from charseg.synth import make_lexicon, make_sentences, make_split
 
-from oracles import grad_check, reference_parameters
+from oracles import grad_check, reference_parameters, tags_match_whitespace
 
 V1_DIR = Path(__file__).parent / "data" / "v1_sgnws"
 V1_VOCAB = NgramVocab.load(V1_DIR / "vocab.tsv")
@@ -95,6 +95,14 @@ def test_bad_config_numeric():
         ModelConfig(dropout=1.0).resolve()
     with pytest.raises(BadConfig):
         ModelConfig(variant="transformer").resolve()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("name", ["lr", "lr_decay", "grad_clip"])
+def test_bad_config_step_sizes_must_be_finite_and_positive(name, value):
+    # NaN passed the old `value <= 0` check and trained into NaN parameters
+    with pytest.raises(BadConfig, match=name):
+        ModelConfig(**{name: value}).resolve()
 
 
 def test_config_from_dict_type_checks():

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from charseg import nncore
 from charseg.errors import BadRate, NonFiniteGradient, ShapeMismatch
 from charseg.nncore import (
     ADAMAX_BLOCK,
     AdamaxState,
     AttentionParams,
     DenseParams,
+    LstmCache,
     LstmParams,
     adamax_step,
     bilstm_backward,
@@ -30,7 +34,15 @@ from charseg.nncore import (
     zeros_like,
 )
 
-from oracles import attention_weights, grad_check, lstm_cell, named, sigmoid_masked
+from oracles import (
+    attention_weights,
+    grad_check,
+    lstm_backward_stepwise,
+    lstm_cell,
+    lstm_forward_stepwise,
+    named,
+    sigmoid_masked,
+)
 
 
 def zero_lstm(d_in, hidden):
@@ -223,6 +235,82 @@ def test_batched_pass_matches_each_sequence(lengths, size, seed):
     if len(lengths) > 1:  # a batch keeps no backprop cache
         with pytest.raises(ShapeMismatch):
             lstm_forward(fwd, X, True, lengths)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@contextlib.contextmanager
+def stack_bytes(value):
+    """Set nncore.STACK_BYTES for the block: 0 gives each BiLSTM
+    direction its own step loop at any size."""
+    saved, nncore.STACK_BYTES = nncore.STACK_BYTES, value
+    try:
+        yield
+    finally:
+        nncore.STACK_BYTES = saved
+
+
+def stepwise_bilstm(fwd, bwd, X, cache=True, lengths=None):
+    """Both directions of bilstm_forward, each from lstm_forward_stepwise."""
+    H_f, cache_f = lstm_forward_stepwise(fwd, X, cache, lengths)
+    H_b, cache_b = lstm_forward_stepwise(bwd, X[::-1], cache, None if lengths is None else lengths[::-1])
+    return np.hstack([H_f, H_b[::-1]]), (cache_f, cache_b)
+
+
+@given(L=st.integers(min_value=1, max_value=9),
+       size=st.sampled_from([(3, 7), (5, 10), (8, 12), (32, 64)]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), shared_loop=st.booleans())
+def test_lstm_kernels_keep_stepwise_bits(L, size, seed, shared_loop):
+    # the input products taken before the loop, one per gate block and row,
+    # the directions in one loop or one each, and the backward's stacked
+    # products with W rest on numpy's stacked matmul making one GEMV per
+    # item: the bits of one product per step and direction
+    d_in, hidden = size
+    rng = np.random.default_rng(seed)
+    fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
+    X = rng.normal(size=(L, d_in))
+    dY = rng.normal(size=(L, 2 * hidden))
+    dH = dY[:, hidden:][::-1]  # a strided view, as bilstm_backward passes
+    grads, bi_grads = zeros_like(fwd), [zeros_like(fwd), zeros_like(bwd)]
+    with stack_bytes(nncore.STACK_BYTES if shared_loop else 0):
+        H, cache = lstm_forward(fwd, X)
+        Y, bi_cache = bilstm_forward(fwd, bwd, X)
+        dX_one = lstm_backward(fwd, cache, dH, grads)
+        dX = bilstm_backward(fwd, bwd, bi_cache, dY, *bi_grads)
+    H_ref, cache_ref = lstm_forward_stepwise(fwd, X)
+    Y_ref, (cache_f, cache_b) = stepwise_bilstm(fwd, bwd, X)
+    assert same_bits(H, H_ref) and same_bits(Y, Y_ref)
+    for got, want in ((cache, cache_ref), (bi_cache.fwd, cache_f), (bi_cache.bwd, cache_b)):
+        for field in dataclasses.fields(LstmCache):
+            assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+    grads_ref, bi_grads_ref = zeros_like(fwd), [zeros_like(fwd), zeros_like(bwd)]
+    assert same_bits(dX_one, lstm_backward_stepwise(fwd, cache_ref, dH, grads_ref))
+    dX_f = lstm_backward_stepwise(fwd, cache_f, dY[:, :hidden], bi_grads_ref[0])
+    dX_b = lstm_backward_stepwise(bwd, cache_b, dH, bi_grads_ref[1])
+    assert same_bits(dX, dX_f + dX_b[::-1])
+    for got, want in zip([grads, *bi_grads], [grads_ref, *bi_grads_ref]):
+        for name, g in named(got).items():
+            assert same_bits(g, getattr(want, name)), name
+
+
+@given(lengths=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=7),
+       size=st.sampled_from([(3, 7), (5, 10), (8, 12), (32, 64)]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), shared_loop=st.booleans())
+def test_packed_inference_matches_stepwise_gathered_pass(lengths, size, seed, shared_loop):
+    # rows taken time-major before the GEMM, the directions in one loop or
+    # one each, against gathering each step's rows from a GEMM in X's order
+    d_in, hidden = size
+    rng = np.random.default_rng(seed)
+    fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
+    X = rng.normal(size=(sum(lengths), d_in))
+    with stack_bytes(nncore.STACK_BYTES if shared_loop else 0):
+        got_pairs = ((lstm_forward(fwd, X, False, lengths)[0], lstm_forward_stepwise(fwd, X, False, lengths)[0]),
+                     (bilstm_forward(fwd, bwd, X, False, lengths)[0], stepwise_bilstm(fwd, bwd, X, False, lengths)[0]))
+    for got, ref in got_pairs:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_bilstm_backward_grad_check(rng):

@@ -20,10 +20,9 @@ from charseg.subword import (
     build_vocab,
     char_features_backward,
     char_features_cached,
-    extract_ngrams,
 )
 
-from oracles import char_features, compose_subword, grad_check, named
+from oracles import char_features, compose_subword, extract_ngrams, grad_check, named
 
 
 def small_vocab(sentences=("ab abc a", "abc ab")):
@@ -152,6 +151,21 @@ def test_vocab_load_rejects_garbage(tmp_path):
     path = tmp_path / "v.tsv"
     path.write_text("#charseg-vocab\t1\n1\ta\tnot_an_id\t3\n", encoding="utf-8")
     with pytest.raises(BadTag):
+        NgramVocab.load(path)
+
+
+@pytest.mark.parametrize("order", [0, 7, -1])
+def test_vocab_load_rejects_order_without_min_freq(tmp_path, order):
+    # such a line used to load and be dropped from sha256 and save, so the
+    # file passed a checkpoint's vocabulary check
+    from charseg.errors import BadTag
+
+    path = tmp_path / "v.tsv"
+    small_vocab().save(path)
+    n_lines = len(path.read_text(encoding="utf-8").splitlines())
+    with path.open("a", encoding="utf-8") as f:
+        f.write(f"{order}\tq\t2\t1\n")
+    with pytest.raises(BadTag, match=f"line {n_lines + 1}: order-{order} n-gram without a #min_freq line"):
         NgramVocab.load(path)
 
 
