@@ -18,10 +18,12 @@ prints one line per case: variant, size (d_emb/hidden) and a sha256 over
 
 After the digest each line prints ``infer rel``: the worst difference
 between the inference emissions (``Model.batch_emissions`` over the
-case's sentences as one batch, the LSTM input products hoisted into one
-GEMM and the sequences run together) and the training forward's,
-relative to the largest emission, on the same sentences before and after
-training. It is not hashed.
+case's sentences as one batch: the LSTM input products hoisted into one
+GEMM, the sequences run together, each sigmoid gate taken as
+1/2 + tanh(z/2)/2, and the head run once over the batch's rows with
+attention's value path folded into the output layer) and the training
+forward's, relative to the largest emission, on the same sentences
+before and after training. It is not hashed.
 
 ``--save FILE`` keeps each case's digest and its raw losses and
 gradients. ``--against FILE`` prints, per case, ``digest same`` or

@@ -143,8 +143,11 @@ def _forward(emis: Array, start: Array, trans: Array, end: Array) -> tuple[Array
     L, K = emis.shape
     alpha = np.empty((L, K))
     alpha[0] = start + emis[0]
-    for t in range(1, L):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
+    x = np.empty((K, K))
+    with np.errstate(divide="ignore"):
+        for t in range(1, L):
+            logsumexp(np.add(alpha[t - 1][:, None], trans, out=x), axis=0, out=alpha[t])
+            alpha[t] += emis[t]
     log_z = float(logsumexp(alpha[L - 1] + end, axis=0))
     if not np.isfinite(log_z):
         raise NoAllowedPath("constraint mask leaves no complete path")
@@ -191,8 +194,10 @@ def nll_loss(
 
     beta = np.empty((L, K))
     beta[L - 1] = end
-    for t in range(L - 2, -1, -1):
-        beta[t] = logsumexp(trans + (emis[t + 1] + beta[t + 1])[None, :], axis=1)
+    x, v = np.empty((K, K)), np.empty(K)
+    with np.errstate(divide="ignore"):
+        for t in range(L - 2, -1, -1):
+            logsumexp(np.add(trans, np.add(emis[t + 1], beta[t + 1], out=v), out=x), axis=1, out=beta[t])
 
     with np.errstate(invalid="ignore"):
         gamma = np.exp(alpha + beta - log_z)  # exp(-inf) = 0 at forbidden entries

@@ -46,6 +46,7 @@ from .nncore import (
     DenseParams,
     LstmParams,
     adamax_step,
+    attention_weights,
     bilstm_backward,
     bilstm_forward,
     clip_global_norm,
@@ -133,8 +134,8 @@ class ModelConfig:
                 raise BadConfig(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not (0.0 <= self.dropout < 1.0):
             raise BadConfig("dropout must lie in [0, 1)")
-        if self.attn_width < 0:
-            raise BadConfig("attn_width must be >= 0")
+        if self.attn_width < 0 or self.seed < 0:
+            raise BadConfig(f"attn_width and seed must be >= 0, got {self.attn_width} and {self.seed}")
         crf = self.is_crf()
         if self.use_attention and self.variant != "sgnws":
             raise BadConfig(f"use_attention is only valid for variant sgnws, not {self.variant}")
@@ -357,7 +358,9 @@ class Model:
             cur, cache = lstm_forward(fwd, cur) if bwd is None else bilstm_forward(fwd, bwd, cur)
             enc_caches.append(cache)
         cur, mask_out = variational_dropout(cur, drop, mode, rng)
-        E, dense_cache, attn_cache, out_cache = self._head(cur)
+        D, dense_cache = dense_forward(self.hidden_proj, cur, activation="tanh")
+        Z, attn_cache = (D, None) if self.attn is None else self_attention(self.attn, D)
+        E, out_cache = dense_forward(self.out_proj, Z)
         return E, ForwardCache(
             feat=feat_cache, mask_in=mask_in, enc_caches=enc_caches, mask_out=mask_out,
             dense_cache=dense_cache, attn_cache=attn_cache, out_cache=out_cache,
@@ -367,24 +370,25 @@ class Model:
         """The inference forward, no backprop cache: emission scores of each
         non-empty text, in order, from one packed composer pass over the
         new tokens (see memo), one packed pass per encoder layer and
-        direction, then dense, attention and output layers per text."""
+        direction, then the head once over all rows: all after attention's
+        softmax A is linear, so per text only A and A (D (W_v W_o W_out)) remain."""
         if not texts:
             return []
         memo.batches += 1
         lengths = [len(t) for t in texts]
         cur, _ = char_features_cached(texts, self.vocab, self.embedder, memo)
         for fwd, bwd in self.encoder:
-            cur, _ = (lstm_forward(fwd, cur, False, lengths) if bwd is None
-                      else bilstm_forward(fwd, bwd, cur, False, lengths))
-        ends = np.cumsum(lengths)
-        return [self._head(cur[hi - n : hi])[0] for hi, n in zip(ends, lengths)]
-
-    def _head(self, Y: Array) -> tuple[Array, object, object | None, object]:
-        """Dense, attention and output layers: emissions and the 3 caches."""
-        D, dense_cache = dense_forward(self.hidden_proj, Y, activation="tanh")
-        Z, attn_cache = (D, None) if self.attn is None else self_attention(self.attn, D)
-        E, out_cache = dense_forward(self.out_proj, Z)
-        return E, dense_cache, attn_cache, out_cache
+            cur, _ = (lstm_forward(fwd, cur, False, lengths, memo.buffers) if bwd is None
+                      else bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers))
+        cur, out, at = np.tanh(cur @ self.hidden_proj.W + self.hidden_proj.b), self.out_proj, self.attn
+        E = cur @ out.W + out.b
+        spans = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths).tolist(), lengths)]
+        if at is not None:
+            Q, K, Vp = cur @ at.W_q, cur @ at.W_k, cur @ (at.W_v @ (at.W_o @ out.W))
+            del cur
+            for sl in spans:
+                E[sl] += attention_weights(Q[sl], K[sl]) @ Vp[sl]
+        return [E[sl] for sl in spans]
 
     def _backward(self, cache: ForwardCache, dE: Array, grads: Layers) -> None:
         """Write every layer's gradient into grads, containers of views of

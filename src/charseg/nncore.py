@@ -37,12 +37,16 @@ def sigmoid(x: Array, out: Array | None = None) -> Array:
     return np.divide(out, e, out=out)
 
 
-def logsumexp(x: Array, axis: int = -1) -> Array:
-    """Stable log(sum(exp(x))) with max subtraction; -inf rows stay -inf."""
+def logsumexp(x: Array, axis: int = -1, out: Array | None = None) -> Array:
+    """Stable log(sum(exp(x))) with max subtraction; -inf rows stay -inf. Given
+    out (the same bits), x is overwritten and the caller ignores log 0 errors."""
     m = x.max(axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - m_safe).sum(axis=axis)) + m_safe.squeeze(axis=axis)
+    np.copyto(m, 0.0, where=~np.isfinite(m))
+    if out is None:
+        with np.errstate(divide="ignore"):
+            return np.log(np.exp(x - m).sum(axis=axis)) + m.squeeze(axis=axis)
+    np.exp(np.subtract(x, m, out=x), out=x)
+    return np.add(np.log(x.sum(axis=axis, out=out), out=out), m.squeeze(axis=axis), out=out)
 
 
 def softmax(x: Array, axis: int = -1) -> Array:
@@ -118,8 +122,8 @@ def _packing(lengths) -> tuple[Array, list[int]]:
     return np.concatenate([starts[:n] + t for t, n in enumerate(sizes)]), sizes
 
 
-def lstm_forward(params: LstmParams, X: Array, cache: bool = True,
-                 lengths: list[int] | None = None) -> tuple[Array, LstmCache | None]:
+def lstm_forward(params: LstmParams, X: Array, cache: bool = True, lengths: list[int] | None = None,
+                 buffers: dict | None = None) -> tuple[Array, LstmCache | None]:
     """Run the cell over the rows of X from the zero state. Returns hidden
     states (L, h) and the cache for backprop.
 
@@ -135,8 +139,9 @@ def lstm_forward(params: LstmParams, X: Array, cache: bool = True,
     gate block and row (the bits of U x per step), in inference (cache
     False) one X @ U.T GEMM, which may round differently. Inference may
     pass lengths of sequences X holds one after another, run together
-    time-major (see _packing); H comes back in X's row order."""
-    (H,), caches = _lstm_passes([params], X, cache, lengths)
+    time-major (see _packing); H comes back in X's row order. It takes each
+    sigmoid as 1/2 + tanh(z/2)/2, one tanh per step (see _lstm_passes)."""
+    (H,), caches = _lstm_passes([params], X, cache, lengths, buffers)
     return H, caches[0] if cache else None
 
 
@@ -145,13 +150,15 @@ def lstm_forward(params: LstmParams, X: Array, cache: bool = True,
 STACK_BYTES = 1 << 20
 
 
-def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool,
-                 lengths: list[int] | None) -> tuple[list[Array], list[LstmCache]]:
-    """lstm_forward of dirs[0] over X and of dirs[1], if given, over X reversed."""
+def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[int] | None,
+                 buffers: dict | None = None) -> tuple[list[Array], list[LstmCache]]:
+    """lstm_forward of dirs[0] over X and of dirs[1], if given, over X reversed.
+    Inference fills a copy of W.T, the i, f and o columns halved, into a
+    buffer it keeps in buffers by shape, so later passes allocate none."""
     N, h, D = X.shape[0], dirs[0].hidden_dim, len(dirs)
     if D == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES:
-        (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths)
-        (H_b,), caches_b = _lstm_passes(dirs[1:], X[::-1], cache, lengths and lengths[::-1])
+        (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths, buffers)
+        (H_b,), caches_b = _lstm_passes(dirs[1:], X[::-1], cache, lengths and lengths[::-1], buffers)
         return [H_f, H_b], caches_f + caches_b
     if X.ndim != 2 or X.shape[1] != dirs[0].input_dim:
         raise ShapeMismatch(f"lstm_forward: X {X.shape}, expected (L, {dirs[0].input_dim})")
@@ -167,9 +174,18 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool,
                 np.matmul(p.U[k * h : (k + 1) * h], Xs[d][:, :, None], out=A[:, d, k * h : (k + 1) * h, None])
         else:
             np.matmul(Xs[d] if packs is None else Xs[d][packs[d][0]], p.U.T, out=A[:, d])
-    W, b = dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs]), np.stack([p.b for p in dirs])
-    # (n x h) @ (h x 4h) runs 2-3x faster with W.T contiguous than as a view
-    W_T = None if packs is None else W.transpose(0, 2, 1).copy()
+    b = np.stack([p.b for p in dirs])
+    if not cache:  # the i, f and o pre-activations halved (exact), b added once
+        s, shift = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]], h, axis=1)
+        key, buffers = (D, h), {} if buffers is None else buffers
+        if key not in buffers:  # (n x h) @ (h x 4h) runs 2-3x faster with W.T contiguous
+            buffers[key] = np.empty((D, h, 4 * h))
+        W_T = buffers[key]
+        for d, p in enumerate(dirs):
+            np.multiply(p.W.T, s, out=W_T[d])
+        A += b
+        A *= s
+    W = (dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs])) if cache else W_T.transpose(0, 2, 1)
     # training keeps every state (row t enters step t), inference the running ones
     n_max = max(sizes, default=1)
     HS, CS = np.zeros((2, N + 1 if cache else n_max, D, h))
@@ -184,12 +200,17 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool,
         else:
             np.matmul(HS[p].transpose(1, 0, 2), W_T, out=r.transpose(1, 0, 2))
         a += r
-        a += b
-        np.tanh(a[..., g], out=tg)
-        sigmoid(a, out=a)
-        a[..., g] = tg
+        if cache:
+            a += b
+            np.tanh(a[..., g], out=tg)
+            sigmoid(a, out=a)
+            a[..., g] = tg
+        else:
+            np.tanh(a, out=a)
+            a *= s
+            a += shift
         np.multiply(a[..., f], CS[p], out=c)
-        c += np.multiply(a[..., i], tg, out=ig[:n])
+        c += np.multiply(a[..., i], a[..., g], out=ig[:n])
         np.tanh(c, out=HS[q])
         HS[q] *= a[..., o]
         if not cache:
@@ -260,12 +281,12 @@ class BiLstmCache:
 
 
 def bilstm_forward(fwd: LstmParams, bwd: LstmParams, X: Array, cache: bool = True,
-                   lengths: list[int] | None = None) -> tuple[Array, BiLstmCache | None]:
+                   lengths: list[int] | None = None, buffers: dict | None = None) -> tuple[Array, BiLstmCache | None]:
     """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t];
     with lengths (inference), over each of the sequences X holds."""
     if X.shape[0] < 1:
         raise ShapeMismatch("bilstm_forward: empty sequence")
-    (H_f, H_b_rev), caches = _lstm_passes([fwd, bwd], X, cache, lengths)
+    (H_f, H_b_rev), caches = _lstm_passes([fwd, bwd], X, cache, lengths, buffers)
     return np.hstack([H_f, H_b_rev[::-1]]), BiLstmCache(*caches) if cache else None
 
 
@@ -348,6 +369,16 @@ class AttentionCache:
     Ctx: Array   # A @ V
 
 
+def attention_weights(Q: Array, K: Array) -> Array:
+    """softmax(Q K^T / sqrt(d)) step by step in one L x L array, the same bits."""
+    A = Q @ K.T
+    A /= np.sqrt(Q.shape[1])
+    A -= np.max(A, axis=-1, keepdims=True)
+    np.exp(A, out=A)
+    A /= np.sum(A, axis=-1, keepdims=True)
+    return A
+
+
 def self_attention(params: AttentionParams, Y: Array) -> tuple[Array, AttentionCache]:
     """Z = (softmax(Q K^T / sqrt(d)) V) W_o + Y, all projections of Y."""
     L, d = Y.shape
@@ -356,12 +387,7 @@ def self_attention(params: AttentionParams, Y: Array) -> tuple[Array, AttentionC
     Q = Y @ params.W_q
     K = Y @ params.W_k
     V = Y @ params.W_v
-    # softmax(Q K^T / sqrt(d)) step by step in one L x L array: the same bits
-    A = Q @ K.T
-    A /= np.sqrt(d)
-    A -= np.max(A, axis=-1, keepdims=True)
-    np.exp(A, out=A)
-    A /= np.sum(A, axis=-1, keepdims=True)
+    A = attention_weights(Q, K)
     Ctx = A @ V
     Z = Ctx @ params.W_o + Y
     return Z, AttentionCache(Y=Y, Q=Q, K=K, V=V, A=A, Ctx=Ctx)

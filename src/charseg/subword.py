@@ -268,14 +268,14 @@ def _token_ids(tokens: Iterable[str], vocab: NgramVocab, orders: tuple[int, ...]
 
 
 def _compose(tokens: list[str], token_ids: dict[str, dict[int, Array]], embedder: SubwordEmbedder,
-             cache: bool = False) -> tuple[Array, ComposerCache | None]:
+             cache: bool = False, buffers: dict | None = None) -> tuple[Array, ComposerCache | None]:
     """Composed vectors of tokens, one row each, from one packed composer
     pass over their ids (see _token_ids); with cache (one token), also
     its cache for backprop."""
     ids = {n: np.concatenate([token_ids[t][n] for t in tokens]) for n in embedder.orders}
     X = np.hstack([embedder.tables[n][ids[n]] for n in embedder.orders])
     lengths = [len(t) for t in tokens]
-    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache, lengths)
+    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache, lengths, buffers)
     d = embedder.dim
     ends = np.cumsum(lengths)
     vec = np.hstack([Y[ends - 1, :d], Y[ends - lengths, d:]])
@@ -285,10 +285,15 @@ def _compose(tokens: list[str], token_ids: dict[str, dict[int, Array]], embedder
 class TokenMemo(dict):
     """Token -> composed vector within one inference run, at most MEMO_TOKENS
     (cleared when a batch's new tokens do not fit); it must not outlive a
-    parameter write. ``tokens`` counts the tokens looked up, ``composed``
-    the tokens composed, ``batches`` the batched inference passes."""
+    parameter write. ``buffers`` holds the run's scratch arrays (see
+    nncore._lstm_passes). ``tokens`` counts the tokens looked up,
+    ``composed`` those composed, ``batches`` the batched passes."""
 
     tokens = composed = batches = 0
+
+    def __init__(self):
+        super().__init__()
+        self.buffers: dict = {}
 
 
 @dataclass
@@ -335,7 +340,7 @@ def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: Sub
         vecs = {t: memo.get(t) for t in tokens}
         new = [t for t, vec in vecs.items() if vec is None]
         if new:
-            vecs.update(zip(new, _compose(new, token_ids, embedder)[0]))
+            vecs.update(zip(new, _compose(new, token_ids, embedder, buffers=memo.buffers)[0]))
         for (a, b), token in zip(spans, tokens):
             F[a:b, col:] = vecs[token]
         if len(memo) + len(new) > MEMO_TOKENS:

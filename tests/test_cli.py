@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import charseg
 from charseg import model as model_mod
 from charseg.cli import main
-from charseg.corpus import read_labeled
+from charseg.corpus import Sentence, read_labeled, tags_from_segmentation, write_labeled
 from charseg.errors import CharsegError
 from charseg.subword import NgramVocab
 from charseg.synth import make_lexicon, make_sentences
@@ -474,6 +474,71 @@ def test_mutated_vocab_loads_or_exits_2(tmp_path_factory, edits):
                      "--input", str(inp), "--output", str(tmp / "out.txt")])
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def mutate(data: bytes, edits) -> bytes:
+    blob = bytearray(data)
+    for pos, value in edits:
+        blob[pos % len(blob)] = value
+    return bytes(blob)
+
+
+# (position modulo the file size, new byte), the bytes the readers parse drawn more often
+BYTE_EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.one_of(st.integers(0, 255), st.sampled_from(
+    b"BIESX\\s\t\n =-.019e#"))), min_size=1, max_size=8)
+
+
+@pytest.fixture(scope="module")
+def labeled_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("labeled") / "gold.tsv"
+    lines = make_sentences(make_lexicon(n_words=12, seed=31), 3, min_tokens=3, max_tokens=4, seed=32)
+    write_labeled(path, [(s, tags_from_segmentation(s)) for s in map(Sentence.from_text, lines)])
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=BYTE_EDITS)
+def test_mutated_labeled_file_loads_or_exits_2(tmp_path_factory, labeled_bytes, edits):
+    # any bytes in a labeled file either load or raise the package's own
+    # errors, and evaluate then exits 0 or 2 with no traceback
+    tmp = tmp_path_factory.mktemp("labeled")
+    data = tmp / "gold.tsv"
+    data.write_bytes(mutate(labeled_bytes, edits))
+    try:
+        read_labeled(data)
+    except CharsegError:
+        pass
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--checkpoint", str(V1_DIR / "checkpoint.bin"), "--data", str(data),
+                     "--out", str(tmp / "report.jsonl")])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+CONFIG_BYTES = b"# a run\nvariant=sgnws\nd_emb=4\nhidden=6\nlr=0.025\ndropout=0.25\nuse_attention=true\nseed=0\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=BYTE_EDITS)
+def test_mutated_config_file_resolves_or_exits_1(tmp_path_factory, prepared, edits):
+    # a --config file is a usage input: any bytes resolve or exit 1
+    config = tmp_path_factory.mktemp("config") / "run.cfg"
+    config.write_bytes(mutate(CONFIG_BYTES, edits))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["train", str(prepared), "--dump-config", "--config", str(config)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+
+
+def test_train_rejects_negative_seed(prepared, tmp_path, capsys):
+    code = main(["train", str(prepared), "--out", str(tmp_path / "run"), "--epochs", "1",
+                 "--d-emb", "4", "--hidden", "6", "--seed", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got 0 and -1" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", ["id-out-of-range", "repeated-id", "repeated-ngram"])

@@ -105,6 +105,13 @@ def test_bad_config_step_sizes_must_be_finite_and_positive(name, value):
         ModelConfig(**{name: value}).resolve()
 
 
+def test_bad_config_negative_seed():
+    # numpy's seed sequences refuse negative entries: train used to stop
+    # with a ValueError traceback
+    with pytest.raises(BadConfig, match="seed"):
+        ModelConfig(seed=-1).resolve()
+
+
 def test_config_from_dict_type_checks():
     cfg = ModelConfig.from_dict({"lr": 1, "hidden": 8, "use_attention": None})
     assert cfg.lr == 1.0 and type(cfg.lr) is float
@@ -505,6 +512,38 @@ def test_predict_many_matches_cached_emissions(tiny, variant):
     for text, E in zip(full[:8], model.batch_emissions(full[:8], TokenMemo())):
         ref, _ = model.emissions(text)
         assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kw", [dict(attn_width=5), dict(use_attention=False), dict(d_emb=64, hidden=200)],
+                         ids=["attn-width", "no-attention", "paper-size"])
+def test_batch_emissions_match_training_forward(tiny, kw):
+    # the batched head folds attention's value path into the output layer;
+    # a text longer than a batch runs alone, others share one pass
+    split, vocab = tiny
+    model = Model(tiny_config(**kw), vocab)
+    texts = [s.text for s, _ in split.train]
+    long_text = " ".join(texts)
+    assert len(long_text) > BATCH_CHARS
+    for batch in (texts[:4], [long_text]):
+        for text, E in zip(batch, model.batch_emissions(batch, TokenMemo()), strict=True):
+            ref, _ = model.emissions(text)
+            assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_predict_many_after_parameter_write(tiny):
+    # inference refills its gate-scaled weight copies on every pass, into
+    # buffers the memo keeps: after a write to theta, a second call with
+    # the same memo decodes with the new parameters
+    split, vocab = tiny
+    model = Model(tiny_config(d_emb=8, hidden=12), vocab)
+    texts = [s.text for s, _ in split.train]
+    memo = TokenMemo()
+    before = list(model.predict_many(texts, memo))
+    model.theta[...] = Model(tiny_config(d_emb=8, hidden=12, seed=1), vocab).theta
+    after = list(model.predict_many(texts, memo))
+    assert after != before
+    assert after == list(Model(model.config, vocab, model.theta.copy()).predict_many(texts))
+    assert list(model.predict_many(texts)) == after
 
 
 def test_predict_many_memo_bound(tiny, monkeypatch):

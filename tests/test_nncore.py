@@ -214,6 +214,23 @@ def test_uncached_pass_matches_cached(L, size, seed):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_inference_tanh_gates_match_sigmoid():
+    # inference takes each gate as 1/2 + tanh(z/2)/2; with U the identity
+    # and b zero the pre-activations are x exactly, and g = tanh(20) = 1,
+    # so one step from the zero state gives h = sigmoid(z_o) tanh(sigmoid(z_i))
+    h = 41
+    z = np.linspace(-40.0, 40.0, h)
+    p = LstmParams(W=np.zeros((4 * h, h)), U=np.eye(4 * h), b=np.zeros(4 * h))
+    zi, zo = np.meshgrid(z, z)
+    X = np.zeros((h, 4 * h))
+    X[:, :h], X[:, 2 * h : 3 * h], X[:, 3 * h :] = zi, 20.0, zo
+    for rows in X[:, None]:
+        got, _ = lstm_forward(p, rows, cache=False)
+        ref, _ = lstm_forward(p, rows)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        assert np.max(np.abs(ref - sigmoid(rows[:, 3 * h :]) * np.tanh(sigmoid(rows[:, :h])))) == 0.0
+
+
 @given(lengths=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=7),
        size=st.sampled_from([(3, 7), (5, 10), (8, 12), (32, 64)]),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
