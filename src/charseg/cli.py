@@ -1,9 +1,10 @@
 """Command-line surface: prepare, train, segment, evaluate, inspect.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 data or
-file error, 3 numeric failure during training. Every ModelConfig field
-has exactly one flag; values may also come from a key=value config file,
-with precedence flag > file > default. All randomness flows from --seed.
+file error or out of memory, 3 numeric failure (non-finite gradients or
+emission scores). Every ModelConfig field has exactly one flag; values
+may also come from a key=value config file, with precedence flag > file
+> default. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import corpus, metrics, model as model_mod, subword
-from .errors import BadConfig, CharsegError, InvalidUtf8, NonFiniteGradient
+from .errors import BadConfig, CharsegError, InvalidUtf8, NumericFailure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -308,11 +309,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonFiniteGradient as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CharsegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import N_TAGS, TAG_TO_ID
+from .corpus import TAGS
 from .errors import GoldPathForbidden, LengthMismatch, NoAllowedPath
 from .nncore import logsumexp
 
@@ -39,19 +39,6 @@ class CrfParams:
     transitions: Array  # (K, K)
     start: Array        # (K,)
 
-    @classmethod
-    def init(cls, n_tags: int, rng: np.random.Generator | None = None, scale: float = 0.1) -> "CrfParams":
-        if rng is None:
-            return cls(transitions=np.zeros((n_tags, n_tags)), start=np.zeros(n_tags))
-        return cls(
-            transitions=rng.uniform(-scale, scale, size=(n_tags, n_tags)),
-            start=rng.uniform(-scale, scale, size=n_tags),
-        )
-
-    @property
-    def n_tags(self) -> int:
-        return self.start.shape[0]
-
 
 @dataclass
 class ConstraintMask:
@@ -64,26 +51,22 @@ class ConstraintMask:
 
     @classmethod
     def from_bool(cls, start: Array, end: Array, transitions: Array, positions: Array) -> "ConstraintMask":
-        def addend(b: Array) -> Array:
-            return np.where(b, 0.0, NEG_INF)
-
-        return cls(
-            start=addend(start), end=addend(end),
-            transitions=addend(transitions), positions=addend(positions),
-        )
+        return cls(*(np.where(b, 0.0, NEG_INF) for b in (start, end, transitions, positions)))
 
 
-# allowed tag bigrams of the boundary grammar; X->X is included so inputs
-# with adjacent whitespace characters always keep at least one legal path
-_ALLOWED_PAIRS = [
-    ("B", "I"), ("B", "E"),
-    ("I", "I"), ("I", "E"),
-    ("E", "B"), ("E", "S"), ("E", "X"),
-    ("S", "B"), ("S", "S"), ("S", "X"),
-    ("X", "B"), ("X", "S"), ("X", "X"),
-]
-_ALLOWED_START = ["B", "S", "X"]
-_ALLOWED_END = ["E", "S", "X"]
+def _addends(*allowed: str) -> Array:
+    """One read-only row per string: 0.0 at the tags it names, -inf elsewhere."""
+    out = np.where([[t in names for t in TAGS] for names in allowed], 0.0, NEG_INF)
+    out.flags.writeable = False
+    return out
+
+
+# the boundary grammar's fixed parts, built once and shared by every mask:
+# the allowed first and last tags, the tags allowed at a whitespace and at
+# any other position, and the tags allowed after B, I, E, S and X (X->X
+# keeps a legal path through adjacent whitespace)
+_START, _END, _WS_ROW, _CHAR_ROW = _addends("BSX", "ESX", "X", "BIES")
+_TRANSITIONS = _addends("IE", "IE", "BSX", "BSX", "BSX")
 
 
 def grammar_mask(whitespace: list[bool] | np.ndarray) -> ConstraintMask:
@@ -91,34 +74,16 @@ def grammar_mask(whitespace: list[bool] | np.ndarray) -> ConstraintMask:
 
     Whitespace positions are forced to X, other positions must not be X,
     and only transitions consistent with ``(X | S | B I* E)*`` survive.
+    The start, end and transition addends are shared read-only arrays.
     """
-    K = N_TAGS
-    L = len(whitespace)
-    start = np.zeros(K, dtype=bool)
-    for t in _ALLOWED_START:
-        start[TAG_TO_ID[t]] = True
-    end = np.zeros(K, dtype=bool)
-    for t in _ALLOWED_END:
-        end[TAG_TO_ID[t]] = True
-    trans = np.zeros((K, K), dtype=bool)
-    for a, b in _ALLOWED_PAIRS:
-        trans[TAG_TO_ID[a], TAG_TO_ID[b]] = True
-    positions = np.ones((L, K), dtype=bool)
-    x_id = TAG_TO_ID["X"]
-    for i, ws in enumerate(whitespace):
-        if ws:
-            positions[i, :] = False
-            positions[i, x_id] = True
-        else:
-            positions[i, x_id] = False
-    return ConstraintMask.from_bool(start, end, trans, positions)
+    ws = np.asarray(whitespace, dtype=bool).reshape(-1, 1)
+    return ConstraintMask(_START, _END, _TRANSITIONS, np.where(ws, _WS_ROW, _CHAR_ROW))
 
 
 def _masked(emissions: Array, params: CrfParams, mask: ConstraintMask | None):
     """Apply the mask addends; returns (emissions', start', trans', end')."""
     if mask is None:
-        L, K = emissions.shape
-        return emissions, params.start, params.transitions, np.zeros(K)
+        return emissions, params.start, params.transitions, np.zeros(emissions.shape[1])
     return (
         emissions + mask.positions,
         params.start + mask.start,
@@ -152,17 +117,6 @@ def _forward(emis: Array, start: Array, trans: Array, end: Array) -> tuple[Array
     if not np.isfinite(log_z):
         raise NoAllowedPath("constraint mask leaves no complete path")
     return alpha, log_z
-
-
-def sequence_score(emissions: Array, tags: np.ndarray, params: CrfParams) -> float:
-    """Unnormalized log score of one tag path."""
-    return float(_path_score(emissions, tags, params.start, params.transitions))
-
-
-def log_partition(emissions: Array, params: CrfParams, mask: ConstraintMask | None = None) -> float:
-    """log sum over all (allowed) tag paths of exp(path score)."""
-    _, log_z = _forward(*_masked(emissions, params, mask))
-    return log_z
 
 
 @dataclass

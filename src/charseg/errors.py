@@ -53,8 +53,16 @@ class BadRate(CharsegError):
     pass
 
 
-class NonFiniteGradient(CharsegError):
+class NumericFailure(CharsegError):
+    """A computation produced NaN or infinity."""
+
+
+class NonFiniteGradient(NumericFailure):
     """Gradients contain NaN or infinity; training must abort."""
+
+
+class NonFiniteEmissions(NumericFailure):
+    """Emission scores contain NaN or infinity, so no tag path can be scored."""
 
 
 class UninitializedEmbedder(CharsegError):

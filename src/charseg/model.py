@@ -38,7 +38,8 @@ import numpy as np
 
 from . import crf as crf_mod
 from .corpus import N_TAGS, WHITESPACE, DatasetSplit, Sentence, ids_to_tags, replace_on_success, tag_ids
-from .errors import BadConfig, BadMagic, EmptyCorpus, LengthMismatch, ShapeMismatch, UninitializedEmbedder, VocabMismatch
+from .errors import (BadConfig, BadMagic, EmptyCorpus, LengthMismatch, NonFiniteEmissions, ShapeMismatch,
+                     UninitializedEmbedder, VocabMismatch)
 from .metrics import tag_prf
 from .nncore import (
     AdamaxState,
@@ -247,30 +248,26 @@ def _layout(config: ModelConfig, vocab: NgramVocab) -> Iterator[tuple[str, tuple
         yield from (("crf.transitions", (N_TAGS, N_TAGS)), ("crf.start", (N_TAGS,)))
 
 
-def _draw(layers: Layers, vocab: NgramVocab, rng: np.random.Generator) -> None:
-    """Write initial values into every container, each shape read from
-    the container; the draws run embedder first."""
-
-    def fill(dst, src) -> None:
-        for f in dataclasses.fields(dst):
-            getattr(dst, f.name)[...] = getattr(src, f.name)
-
+def _draw(layers: Layers, config: ModelConfig) -> None:
+    """The only initializer: writes every parameter in place from the
+    model's seed. Weights are drawn in the order embedding tables,
+    composer, encoder layers from the first, dense, attention, output, CRF,
+    each with the bits of rng.uniform(-0.1, 0.1). Biases are 0 but each
+    forget gate's, which is 1; a frozen CRF start is 0."""
+    rng = np.random.default_rng([config.seed, 0])
     emb = layers.embedder
-    fresh = SubwordEmbedder.init(vocab, emb.dim, orders=emb.orders, use_composer=emb.use_composer, rng=rng)
-    for n in emb.orders:
-        emb.tables[n][...] = fresh.tables[n]
-    if emb.use_composer:
-        fill(emb.fwd, fresh.fwd)
-        fill(emb.bwd, fresh.bwd)
-    for fwd, bwd in layers.encoder:
-        for p in (fwd, bwd) if bwd is not None else (fwd,):
-            fill(p, LstmParams.init(p.input_dim, p.hidden_dim, rng))
-    fill(layers.hidden_proj, DenseParams.init(*layers.hidden_proj.W.shape, rng))
-    if layers.attn is not None:
-        fill(layers.attn, AttentionParams.init(layers.attn.W_q.shape[0], rng))
-    fill(layers.out_proj, DenseParams.init(*layers.out_proj.W.shape, rng))
-    if layers.crf is not None:
-        fill(layers.crf, crf_mod.CrfParams.init(layers.crf.n_tags, rng))
+    parts = [p for p in (emb.fwd, emb.bwd, *(p for pair in layers.encoder for p in pair),
+                         layers.hidden_proj, layers.attn, layers.out_proj, layers.crf) if p is not None]
+    weights = [getattr(p, f.name) for p in parts for f in dataclasses.fields(p) if f.name != "b"]
+    for w in (*emb.tables.values(), *weights):
+        rng.random(out=w)  # uniform's -0.1 + 0.2 u, in place
+        w *= 0.2
+        w -= 0.1
+    for p in parts:
+        if hasattr(p, "b"):  # an LSTM's gates are i, f, c, o
+            p.b[...] = np.repeat([0.0, 1.0, 0.0, 0.0], p.hidden_dim) if isinstance(p, LstmParams) else 0.0
+    if layers.crf is not None and not config.use_start_scores:
+        layers.crf.start[...] = 0.0
 
 
 class Model:
@@ -299,9 +296,7 @@ class Model:
         layers = self._bind(self.theta)
         (self.embedder, self.encoder, self.hidden_proj, self.attn, self.out_proj, self.crf) = layers
         if theta is None:
-            _draw(layers, vocab, np.random.default_rng([config.seed, 0]))
-            if self.crf is not None and not config.use_start_scores:
-                self.crf.start[:] = 0.0
+            _draw(layers, config)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -388,6 +383,8 @@ class Model:
             del cur
             for sl in spans:
                 E[sl] += attention_weights(Q[sl], K[sl]) @ Vp[sl]
+        if not np.isfinite(E).all():
+            raise NonFiniteEmissions(f"emission scores of a batch of {len(texts)} texts are not all finite")
         return [E[sl] for sl in spans]
 
     def _backward(self, cache: ForwardCache, dE: Array, grads: Layers) -> None:
@@ -419,6 +416,8 @@ class Model:
         if len(text) != len(gold):
             raise LengthMismatch(f"{len(text)} characters vs {len(gold)} tags")
         E, cache = self.emissions(text, mode=mode, seed=seed)
+        if not np.isfinite(E).all():
+            raise NonFiniteEmissions(f"emission scores of a {len(text)}-character sentence are not all finite")
         # backprop writes every view whole but those it adds into and the frozen start
         G = np.empty_like(self.theta)
         for name, (sl, _) in self.layout.items():

@@ -59,10 +59,6 @@ def log_softmax(x: Array, axis: int = -1) -> Array:
     return x - np.expand_dims(logsumexp(x, axis=axis), axis)
 
 
-def uniform_init(rng: np.random.Generator, *shape: int, scale: float = 0.1) -> Array:
-    return rng.uniform(-scale, scale, size=shape)
-
-
 def zeros_like(params: P) -> P:
     """A container of params' class holding zero arrays of the same shapes."""
     return type(params)(**{f.name: np.zeros_like(getattr(params, f.name)) for f in dataclasses.fields(params)})
@@ -78,19 +74,13 @@ class LstmParams:
     c, o: block k of rows [k*h, (k+1)*h) belongs to gate k.
 
     ``W`` acts on the previous hidden state (4h x h), ``U`` on the current
-    input (4h x input_dim), ``b`` holds the gate biases (4h). The forget
-    bias starts at 1.0 so early cells do not vanish.
+    input (4h x input_dim), ``b`` holds the gate biases (4h). A model
+    starts the forget bias at 1.0 so early cells do not vanish.
     """
 
     W: Array
     U: Array
     b: Array
-
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LstmParams":
-        h = hidden_dim
-        b = np.repeat([0.0, 1.0, 0.0, 0.0], h)  # gates i, f, c, o
-        return cls(W=uniform_init(rng, 4 * h, h), U=uniform_init(rng, 4 * h, input_dim), b=b)
 
     @property
     def hidden_dim(self) -> int:
@@ -307,10 +297,6 @@ class DenseParams:
     W: Array  # (d_in, d_out)
     b: Array  # (d_out,)
 
-    @classmethod
-    def init(cls, d_in: int, d_out: int, rng: np.random.Generator) -> "DenseParams":
-        return cls(W=uniform_init(rng, d_in, d_out), b=np.zeros(d_out))
-
 
 @dataclass
 class DenseCache:
@@ -348,15 +334,6 @@ class AttentionParams:
     W_k: Array
     W_v: Array
     W_o: Array
-
-    @classmethod
-    def init(cls, dim: int, rng: np.random.Generator) -> "AttentionParams":
-        return cls(
-            W_q=uniform_init(rng, dim, dim),
-            W_k=uniform_init(rng, dim, dim),
-            W_v=uniform_init(rng, dim, dim),
-            W_o=uniform_init(rng, dim, dim),
-        )
 
 
 @dataclass

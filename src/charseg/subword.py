@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import WHITESPACE, _token_spans, replace_on_success, utf8_lines
 from .errors import BadEscape, BadTag, EmptyCorpus, LengthMismatch, UninitializedEmbedder
-from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward, uniform_init, zeros_like
+from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward, zeros_like
 
 Array = np.ndarray
 
@@ -65,9 +65,6 @@ class NgramVocab:
 
     def size(self, n: int) -> int:
         return _first_free(n) + len(self.maps[n])
-
-    def lookup(self, n: int, gram: str) -> int:
-        return self.maps[n].get(gram, UNK_ID)
 
     def unigram_id(self, ch: str) -> int:
         if ch in WHITESPACE:
@@ -215,28 +212,6 @@ class SubwordEmbedder:
     tables: dict[int, Array]           # order -> (vocab size, dim)
     fwd: LstmParams | None = None
     bwd: LstmParams | None = None
-
-    @classmethod
-    def init(
-        cls,
-        vocab: NgramVocab,
-        dim: int,
-        orders: tuple[int, ...] | None = None,
-        use_composer: bool = True,
-        rng: np.random.Generator | None = None,
-    ) -> "SubwordEmbedder":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        orders = tuple(orders if orders is not None else vocab.orders)
-        for n in orders:
-            if n not in vocab.maps:
-                raise UninitializedEmbedder(f"vocab has no order-{n} table")
-        tables = {n: uniform_init(rng, vocab.size(n), dim) for n in orders}
-        fwd = bwd = None
-        if use_composer:
-            fwd = LstmParams.init(len(orders) * dim, dim, rng)
-            bwd = LstmParams.init(len(orders) * dim, dim, rng)
-        return cls(dim=dim, orders=orders, use_composer=use_composer, tables=tables, fwd=fwd, bwd=bwd)
 
     @property
     def ngram_width(self) -> int:

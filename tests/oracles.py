@@ -13,13 +13,19 @@ step): the bits the package's kernels must keep;
 ``tags_match_whitespace`` its X tags against a text's whitespace;
 ``extract_ngrams`` lists a token's sliding n-gram windows;
 ``attention_weights`` is the softmax that ``nncore.self_attention`` must
-match bit for bit; ``brute_force_paths`` enumerates every tag path of a
-CRF instance; ``compose_subword`` and ``char_features`` run the token
-composer and the feature pass on one token or text; ``parse_report``
-reads a JSON-lines evaluation report back; ``reference_parameters``
-builds a model's initial tensors by running the initializers and naming
-what they return, the way models were built before the layout was
-computed from config and vocabulary; ``grad_check`` compares analytic
+match bit for bit; ``sequence_score`` and ``log_partition`` score one
+tag path and all of them; ``grammar_mask_per_position`` builds the
+boundary-grammar mask position by position, the bytes ``crf.grammar_mask``
+must keep; ``brute_force_paths`` enumerates every tag path of a CRF
+instance; ``compose_subword`` and ``char_features`` run the token
+composer and the feature pass on one token or text; ``lookup`` reads an
+n-gram's id; ``parse_report`` reads a JSON-lines evaluation report back;
+``uniform_init``, ``lstm_init``, ``dense_init``, ``attention_init``,
+``crf_init`` and ``embedder_init`` build fresh parameter containers, each
+drawing its own arrays; ``reference_parameters`` builds a model's initial
+tensors by running them and naming what they return, the way models were
+built before ``model._draw`` wrote the draws into the parameter vector;
+``grad_check`` compares analytic
 gradients with central finite differences, tensor by tensor, over dicts
 that ``named`` (one parameter container) or ``Model.views`` (a whole
 model) build.
@@ -35,13 +41,13 @@ from typing import Callable
 
 import numpy as np
 
-from charseg.corpus import N_TAGS, WHITESPACE
+from charseg.corpus import N_TAGS, TAG_TO_ID, WHITESPACE
 from charseg.crf import ConstraintMask, CrfGrads, CrfParams, _forward, _masked, _path_score
 from charseg.errors import CharsegError, GoldPathForbidden, NoAllowedPath, ShapeMismatch, UninitializedEmbedder
 from charseg.metrics import PRF, MetricsReport, TagCounts
 from charseg.model import GATES, VARIANTS, ModelConfig
 from charseg.nncore import AttentionParams, DenseParams, LstmCache, LstmParams, _packing, logsumexp, softmax
-from charseg.subword import FILLER, NgramVocab, SubwordEmbedder, _compose, _token_ids, char_features_cached
+from charseg.subword import FILLER, UNK_ID, NgramVocab, SubwordEmbedder, _compose, _token_ids, char_features_cached
 
 Array = np.ndarray
 
@@ -188,6 +194,58 @@ def attention_weights(Q: Array, K: Array) -> Array:
     return softmax((Q @ K.T) / np.sqrt(Q.shape[1]), axis=-1)
 
 
+def sequence_score(emissions: Array, tags: np.ndarray, params: CrfParams) -> float:
+    """Unnormalized log score of one tag path."""
+    return float(_path_score(emissions, tags, params.start, params.transitions))
+
+
+def log_partition(emissions: Array, params: CrfParams, mask: ConstraintMask | None = None) -> float:
+    """log sum over all (allowed) tag paths of exp(path score)."""
+    _, log_z = _forward(*_masked(emissions, params, mask))
+    return log_z
+
+
+# allowed tag bigrams of the boundary grammar; X->X is included so inputs
+# with adjacent whitespace characters always keep at least one legal path
+_ALLOWED_PAIRS = [
+    ("B", "I"), ("B", "E"),
+    ("I", "I"), ("I", "E"),
+    ("E", "B"), ("E", "S"), ("E", "X"),
+    ("S", "B"), ("S", "S"), ("S", "X"),
+    ("X", "B"), ("X", "S"), ("X", "X"),
+]
+_ALLOWED_START = ["B", "S", "X"]
+_ALLOWED_END = ["E", "S", "X"]
+
+
+def grammar_mask_per_position(whitespace: list[bool] | np.ndarray) -> ConstraintMask:
+    """Boundary-grammar constraints for a sentence.
+
+    Whitespace positions are forced to X, other positions must not be X,
+    and only transitions consistent with ``(X | S | B I* E)*`` survive.
+    """
+    K = N_TAGS
+    L = len(whitespace)
+    start = np.zeros(K, dtype=bool)
+    for t in _ALLOWED_START:
+        start[TAG_TO_ID[t]] = True
+    end = np.zeros(K, dtype=bool)
+    for t in _ALLOWED_END:
+        end[TAG_TO_ID[t]] = True
+    trans = np.zeros((K, K), dtype=bool)
+    for a, b in _ALLOWED_PAIRS:
+        trans[TAG_TO_ID[a], TAG_TO_ID[b]] = True
+    positions = np.ones((L, K), dtype=bool)
+    x_id = TAG_TO_ID["X"]
+    for i, ws in enumerate(whitespace):
+        if ws:
+            positions[i, :] = False
+            positions[i, x_id] = True
+        else:
+            positions[i, x_id] = False
+    return ConstraintMask.from_bool(start, end, trans, positions)
+
+
 def brute_force_paths(
     emissions: Array,
     params: CrfParams,
@@ -288,6 +346,49 @@ def nll_loss_stepwise(
     return loss, CrfGrads(emissions=d_emissions, transitions=d_trans, start=d_start)
 
 
+def uniform_init(rng: np.random.Generator, *shape: int) -> Array:
+    return rng.uniform(-0.1, 0.1, size=shape)
+
+
+def lstm_init(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:
+    """Fresh LSTM weights drawn W then U, the forget bias 1.0."""
+    h = hidden_dim
+    b = np.repeat([0.0, 1.0, 0.0, 0.0], h)  # gates i, f, c, o
+    return LstmParams(W=uniform_init(rng, 4 * h, h), U=uniform_init(rng, 4 * h, input_dim), b=b)
+
+
+def dense_init(d_in: int, d_out: int, rng: np.random.Generator) -> DenseParams:
+    return DenseParams(W=uniform_init(rng, d_in, d_out), b=np.zeros(d_out))
+
+
+def attention_init(dim: int, rng: np.random.Generator) -> AttentionParams:
+    return AttentionParams(*(uniform_init(rng, dim, dim) for _ in "qkvo"))
+
+
+def crf_init(n_tags: int, rng: np.random.Generator) -> CrfParams:
+    return CrfParams(transitions=uniform_init(rng, n_tags, n_tags), start=uniform_init(rng, n_tags))
+
+
+def embedder_init(
+    vocab: NgramVocab,
+    dim: int,
+    rng: np.random.Generator,
+    orders: tuple[int, ...] | None = None,
+    use_composer: bool = True,
+) -> SubwordEmbedder:
+    """Fresh tables, one per order, then the composer's two directions."""
+    orders = tuple(orders if orders is not None else vocab.orders)
+    for n in orders:
+        if n not in vocab.maps:
+            raise UninitializedEmbedder(f"vocab has no order-{n} table")
+    tables = {n: uniform_init(rng, vocab.size(n), dim) for n in orders}
+    fwd = bwd = None
+    if use_composer:
+        fwd = lstm_init(len(orders) * dim, dim, rng)
+        bwd = lstm_init(len(orders) * dim, dim, rng)
+    return SubwordEmbedder(dim=dim, orders=orders, use_composer=use_composer, tables=tables, fwd=fwd, bwd=bwd)
+
+
 def reference_parameters(config: ModelConfig, vocab: NgramVocab) -> dict[str, Array]:
     """A fresh model's tensors under their checkpoint names, in layout
     order: the initializers run embedder first from the model's seed,
@@ -296,22 +397,22 @@ def reference_parameters(config: ModelConfig, vocab: NgramVocab) -> dict[str, Ar
     config = config.resolve()
     rng = np.random.default_rng([config.seed, 0])
     _, use_composer, bidirectional, use_crf = VARIANTS[config.variant]
-    embedder = SubwordEmbedder.init(
+    embedder = embedder_init(
         vocab, config.d_emb, orders=config.feature_orders(), use_composer=use_composer, rng=rng
     )
     enc_out = 2 * config.hidden if bidirectional else config.hidden
     encoder = []
     d_in = embedder.feature_width
     for _ in range(config.num_layers):
-        fwd = LstmParams.init(d_in, config.hidden, rng)
-        bwd = LstmParams.init(d_in, config.hidden, rng) if bidirectional else None
+        fwd = lstm_init(d_in, config.hidden, rng)
+        bwd = lstm_init(d_in, config.hidden, rng) if bidirectional else None
         encoder.append((fwd, bwd))
         d_in = enc_out
     width = config.attn_width if config.attn_width > 0 else enc_out
-    hidden_proj = DenseParams.init(enc_out, width, rng)
-    attn = AttentionParams.init(width, rng) if config.use_attention else None
-    out_proj = DenseParams.init(width, N_TAGS, rng)
-    crf = CrfParams.init(N_TAGS, rng) if use_crf else None
+    hidden_proj = dense_init(enc_out, width, rng)
+    attn = attention_init(width, rng) if config.use_attention else None
+    out_proj = dense_init(width, N_TAGS, rng)
+    crf = crf_init(N_TAGS, rng) if use_crf else None
     if crf is not None and not config.use_start_scores:
         crf.start[:] = 0.0
 
@@ -348,6 +449,11 @@ def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) ->
     embedder.check_vocab(vocab)
     vec, _ = _compose([token], _token_ids([token], vocab, embedder.orders), embedder, cache=True)
     return vec[0]
+
+
+def lookup(vocab: NgramVocab, n: int, gram: str) -> int:
+    """An n-gram's id, UNK_ID if the vocabulary lacks it."""
+    return vocab.maps[n].get(gram, UNK_ID)
 
 
 def char_features(text: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:

@@ -20,13 +20,13 @@ from charseg.corpus import (
     tag_ids,
     tags_from_segmentation,
 )
-from charseg.crf import CrfParams, log_partition, nll_loss, viterbi_decode
+from charseg.crf import CrfParams, nll_loss, viterbi_decode
 from charseg.metrics import tag_prf
 from charseg.model import Model, ModelConfig, load_model, save_model, train
 from charseg.subword import build_vocab
 from charseg.synth import labeled_pairs, make_lexicon, make_sentences, make_split
 
-from oracles import brute_force_paths, grad_check, parse_report, tags_are_valid
+from oracles import brute_force_paths, grad_check, log_partition, parse_report, tags_are_valid
 from test_crf import random_mask, random_params
 
 

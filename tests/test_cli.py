@@ -605,6 +605,89 @@ def test_huge_checkpoint_config_exits_2_before_allocating(tmp_path, field, value
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_segment_out_of_memory_exits_2(tmp_path):
+    # one 23,188-character line asks attention for a 4 GiB L x L array: past
+    # a 1 GiB address-space cap that is one error line and exit 2, and the
+    # atomic write leaves no output file
+    v1 = Path(__file__).parent / "data" / "v1_sgnws"
+    text = " ".join(make_sentences(make_lexicon(n_words=40, seed=5), 3000, seed=6))[:23188]
+    inp = tmp_path / "in.txt"
+    inp.write_text(text + "\n", encoding="utf-8")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(charseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, "segment", "--checkpoint", str(v1 / "checkpoint.bin"),
+         "--input", str(inp), "--output", str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert json.loads(proc.stdout)["code"] == 2
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def overflowing(tmp_path_factory):
+    # every weight 1e308: finite, so the checkpoint loads, but the forward
+    # pass overflows to inf and NaN
+    out = tmp_path_factory.mktemp("overflow")
+    vocab = NgramVocab.load(V1_DIR / "vocab.tsv")
+    net = model_mod.load_model(V1_DIR / "checkpoint.bin", vocab)
+    net.theta[...] = 1e308
+    model_mod.save_model(net, out / "checkpoint.bin")
+    (out / "vocab.tsv").write_bytes((V1_DIR / "vocab.tsv").read_bytes())
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_non_finite_emissions_exit_3(overflowing, labeled_bytes, tmp_path, capsys, command):
+    data = tmp_path / "gold.tsv"
+    data.write_bytes(labeled_bytes)
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd\nefgh\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    ckpt = ["--checkpoint", str(overflowing / "checkpoint.bin")]
+    argv = (["segment", *ckpt, "--input", str(inp), "--output", str(out)] if command == "segment"
+            else ["evaluate", *ckpt, "--data", str(data), "--out", str(out)])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: emission scores of a batch of " in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+SEGMENT_INPUT = "\n".join(make_sentences(make_lexicon(n_words=12, seed=41), 4, min_tokens=3, max_tokens=5, seed=42))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=BYTE_EDITS)
+def test_mutated_segment_input_exits_0_or_2(tmp_path_factory, edits):
+    # any bytes in segment's --input are segmented or exit 2, with no traceback
+    tmp = tmp_path_factory.mktemp("segment")
+    inp = tmp / "in.txt"
+    inp.write_bytes(mutate(SEGMENT_INPUT.encode("utf-8") + b"\n", edits))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["segment", "--checkpoint", str(V1_DIR / "checkpoint.bin"), "--input", str(inp),
+                     "--output", str(tmp / "out.txt")])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (tmp / "out.txt").exists() == (code == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=BYTE_EDITS)
+def test_mutated_raw_corpus_prepares_or_exits(tmp_path_factory, raw_corpus, edits):
+    # any bytes in prepare's raw corpus are prepared or exit 1 or 2, with no traceback
+    tmp = tmp_path_factory.mktemp("prepare")
+    raw = tmp / "corpus.txt"
+    raw.write_bytes(mutate(raw_corpus.read_bytes(), edits))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["prepare", str(raw), str(tmp / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # invalid UTF-8 in each reader
 # ---------------------------------------------------------------------------

@@ -8,14 +8,21 @@ from charseg.crf import (
     ConstraintMask,
     CrfParams,
     grammar_mask,
-    log_partition,
     nll_loss,
-    sequence_score,
     viterbi_decode,
 )
 from charseg.errors import GoldPathForbidden, LengthMismatch, NoAllowedPath
 
-from oracles import InstanceTooLarge, brute_force_paths, nll_loss_stepwise, tags_are_valid, tags_match_whitespace
+from oracles import (
+    InstanceTooLarge,
+    brute_force_paths,
+    grammar_mask_per_position,
+    log_partition,
+    nll_loss_stepwise,
+    sequence_score,
+    tags_are_valid,
+    tags_match_whitespace,
+)
 
 K = 5
 
@@ -258,6 +265,32 @@ def test_grammar_mask_decodes_valid_tags(rng):
         assert tags_are_valid(tags)
         chars = "".join(" " if w else "a" for w in text_ws)
         assert tags_match_whitespace(chars, tags)
+
+
+def assert_same_mask(got, want):
+    for field in ("start", "end", "transitions", "positions"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+
+
+@given(st.lists(st.booleans(), min_size=0, max_size=60))
+def test_grammar_mask_matches_per_position_construction(whitespace):
+    assert_same_mask(grammar_mask(whitespace), grammar_mask_per_position(whitespace))
+    assert_same_mask(grammar_mask(np.array(whitespace, dtype=bool)), grammar_mask_per_position(whitespace))
+
+
+def test_grammar_mask_long_sentence_matches_per_position(rng):
+    whitespace = (rng.random(1648) < 0.2).tolist()
+    assert_same_mask(grammar_mask(whitespace), grammar_mask_per_position(whitespace))
+
+
+@pytest.mark.parametrize("field", ["start", "end", "transitions"])
+def test_grammar_mask_shared_parts_are_read_only(field):
+    # every mask shares these arrays: a write through one would change the next
+    mask = grammar_mask([False, True, False])
+    with pytest.raises(ValueError):
+        getattr(mask, field)[0] = 1.0
+    assert_same_mask(grammar_mask([False, True, False]), grammar_mask_per_position([False, True, False]))
 
 
 def test_no_allowed_path_raises():

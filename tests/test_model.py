@@ -19,7 +19,15 @@ from charseg.corpus import (
     tag_ids,
 )
 from charseg.crf import grammar_mask, viterbi_decode
-from charseg.errors import BadConfig, BadMagic, CharsegError, EmptyCorpus, ShapeMismatch, VocabMismatch
+from charseg.errors import (
+    BadConfig,
+    BadMagic,
+    CharsegError,
+    EmptyCorpus,
+    NonFiniteEmissions,
+    ShapeMismatch,
+    VocabMismatch,
+)
 from charseg.model import (
     BATCH_CHARS,
     Model,
@@ -272,6 +280,28 @@ def test_layout_and_initial_theta_match_reference(tiny, variant, setting):
     ref = reference_parameters(config, vocab)
     assert [(name, shape) for name, (_, shape) in model.layout.items()] == [(n, a.shape) for n, a in ref.items()]
     assert model.theta.tobytes() == np.concatenate([a.reshape(-1) for a in ref.values()]).tobytes()
+
+
+def test_build_allocates_little_beyond_theta(tiny):
+    # the draws go straight into theta's views: no second set of parameters
+    _, vocab = tiny
+    Model(ModelConfig(d_emb=64, hidden=200), vocab)  # first-call allocations
+    tracemalloc.start()
+    model = Model(ModelConfig(d_emb=64, hidden=200), vocab)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= model.theta.nbytes + 3_000_000, (peak, model.theta.nbytes)
+
+
+def test_loss_refuses_non_finite_emissions(tiny):
+    # every weight 1e308 is finite, but the forward overflows: the loss
+    # stops before the CRF with a numeric error
+    split, vocab = tiny
+    model = Model(tiny_config(), vocab)
+    model.theta[...] = 1e308
+    s, t = split.train[0]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteEmissions):
+        model.loss(s.text, tag_ids(t), mode="eval")
 
 
 def test_model_over_given_vector(tiny):

@@ -12,8 +12,6 @@ from charseg.errors import BadRate, NonFiniteGradient, ShapeMismatch
 from charseg.nncore import (
     ADAMAX_BLOCK,
     AdamaxState,
-    AttentionParams,
-    DenseParams,
     LstmCache,
     LstmParams,
     adamax_step,
@@ -35,11 +33,14 @@ from charseg.nncore import (
 )
 
 from oracles import (
+    attention_init,
     attention_weights,
+    dense_init,
     grad_check,
     lstm_backward_stepwise,
     lstm_cell,
     lstm_forward_stepwise,
+    lstm_init,
     named,
     sigmoid_masked,
 )
@@ -50,7 +51,7 @@ def zero_lstm(d_in, hidden):
 
 
 def random_lstm(d_in, hidden, rng):
-    p = LstmParams.init(d_in, hidden, rng)
+    p = lstm_init(d_in, hidden, rng)
     p.b[hidden : 2 * hidden] = rng.uniform(-0.1, 0.1, hidden)  # break the all-ones forget bias
     return p
 
@@ -352,7 +353,7 @@ def test_bilstm_backward_grad_check(rng):
 # ---------------------------------------------------------------------------
 
 def test_attention_single_position_weight_is_one(rng):
-    p = AttentionParams.init(4, rng)
+    p = attention_init(4, rng)
     Y = rng.normal(size=(1, 4))
     Z, cache = self_attention(p, Y)
     assert cache.A.shape == (1, 1)
@@ -362,7 +363,7 @@ def test_attention_single_position_weight_is_one(rng):
 @given(st.integers(min_value=1, max_value=8))
 def test_attention_rows_are_distributions(L):
     rng = np.random.default_rng(L)
-    p = AttentionParams.init(5, rng)
+    p = attention_init(5, rng)
     Y = rng.normal(size=(L, 5))
     _, cache = self_attention(p, Y)
     assert np.all(cache.A >= 0)
@@ -373,7 +374,7 @@ def test_attention_rows_are_distributions(L):
 def test_attention_weights_bits_match_softmax_formula(L):
     # the in-place softmax keeps the bits of softmax((Q @ K.T) / sqrt(d))
     rng = np.random.default_rng(L)
-    params = AttentionParams.init(16, rng)
+    params = attention_init(16, rng)
     Y = 10.0 * rng.normal(size=(L, 16))
     Z, cache = self_attention(params, Y)
     A = attention_weights(cache.Q, cache.K)
@@ -382,7 +383,7 @@ def test_attention_weights_bits_match_softmax_formula(L):
 
 
 def test_attention_backward_grad_check(rng):
-    p = AttentionParams.init(3, rng)
+    p = attention_init(3, rng)
     Y = rng.normal(size=(4, 3))
     params = named(p)
 
@@ -398,7 +399,7 @@ def test_attention_backward_grad_check(rng):
 
 
 def test_attention_input_gradient(rng):
-    p = AttentionParams.init(3, rng)
+    p = attention_init(3, rng)
     Y = rng.normal(size=(4, 3))
     Z, cache = self_attention(p, Y)
     dY = self_attention_backward(p, cache, 2 * Z, zeros_like(p))
@@ -582,7 +583,7 @@ def test_sigmoid_bits_match_masked_formula(values):
 
 
 def test_dense_grad_check(rng):
-    p = DenseParams.init(3, 2, rng)
+    p = dense_init(3, 2, rng)
     X = rng.normal(size=(5, 3))
     params = named(p)
 

@@ -15,14 +15,13 @@ from charseg.subword import (
     SPACE_ID,
     UNK_ID,
     NgramVocab,
-    SubwordEmbedder,
     anchored_ngrams,
     build_vocab,
     char_features_backward,
     char_features_cached,
 )
 
-from oracles import char_features, compose_subword, extract_ngrams, grad_check, named
+from oracles import char_features, compose_subword, embedder_init, extract_ngrams, grad_check, lookup, named
 
 
 def small_vocab(sentences=("ab abc a", "abc ab")):
@@ -72,14 +71,14 @@ def test_anchored_one_window_per_position():
 
 def test_vocab_frequent_unigrams_present():
     vocab = build_vocab(["ab ab"], min_freq={1: 2, 2: 2, 3: 2, 4: 2})
-    assert vocab.lookup(1, "a") != UNK_ID
-    assert vocab.lookup(1, "b") != UNK_ID
+    assert lookup(vocab, 1, "a") != UNK_ID
+    assert lookup(vocab, 1, "b") != UNK_ID
 
 
 def test_vocab_rare_bigrams_unk():
     vocab = build_vocab(["ab cd"], min_freq={1: 1, 2: 2, 3: 2, 4: 2})
-    assert vocab.lookup(2, "ab") == UNK_ID
-    assert vocab.lookup(2, "cd") == UNK_ID
+    assert lookup(vocab, 2, "ab") == UNK_ID
+    assert lookup(vocab, 2, "cd") == UNK_ID
 
 
 def test_vocab_brute_force_recount():
@@ -106,9 +105,9 @@ def test_vocab_ids_dense_and_stable():
         base = ids[0] if ids else None
         if ids:
             assert ids == list(range(base, base + len(ids)))
-    before = vocab.lookup(2, "zz")
+    before = lookup(vocab, 2, "zz")
     assert before == UNK_ID
-    assert vocab.lookup(2, "zz") == UNK_ID  # lookup never mutates
+    assert lookup(vocab, 2, "zz") == UNK_ID  # lookup never mutates
 
 
 def test_vocab_empty_corpus():
@@ -175,7 +174,7 @@ def test_vocab_load_rejects_order_without_min_freq(tmp_path, order):
 
 def test_compose_zero_params_zero_output(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=4, rng=rng)
+    emb = embedder_init(vocab, dim=4, rng=rng)
     for n in emb.orders:
         emb.tables[n][:] = 0.0
     for p in (emb.fwd, emb.bwd):
@@ -187,7 +186,7 @@ def test_compose_zero_params_zero_output(rng):
 
 def test_compose_single_char_token(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=4, rng=rng)
+    emb = embedder_init(vocab, dim=4, rng=rng)
     vec = compose_subword("a", vocab, emb)
     assert vec.shape == (8,)
     assert np.all(np.isfinite(vec))
@@ -196,14 +195,14 @@ def test_compose_single_char_token(rng):
 def test_compose_scalar_oracle():
     """1-dimensional tables and composer, checked with plain scalar math."""
     vocab = build_vocab(["ab"], min_freq={1: 1, 2: 1}, orders=(1, 2))
-    emb = SubwordEmbedder.init(vocab, dim=1, orders=(1, 2), rng=np.random.default_rng(0))
+    emb = embedder_init(vocab, dim=1, orders=(1, 2), rng=np.random.default_rng(0))
     # hand-set every embedding row and weight
     emb.tables[1][:] = 0.0
-    emb.tables[1][vocab.lookup(1, "a")] = 0.3
-    emb.tables[1][vocab.lookup(1, "b")] = -0.2
+    emb.tables[1][lookup(vocab, 1, "a")] = 0.3
+    emb.tables[1][lookup(vocab, 1, "b")] = -0.2
     emb.tables[2][:] = 0.0
-    emb.tables[2][vocab.lookup(2, "ab")] = 0.5
-    emb.tables[2][vocab.lookup(2, "b" + FILLER)] = 0.1
+    emb.tables[2][lookup(vocab, 2, "ab")] = 0.5
+    emb.tables[2][lookup(vocab, 2, "b" + FILLER)] = 0.1
     w = dict(W_i=0.2, U_i=(0.4, -0.3), b_i=0.05, W_f=-0.1, U_f=(0.2, 0.6), b_f=0.1,
              W_c=0.3, U_c=(-0.5, 0.2), b_c=0.0, W_o=0.15, U_o=(0.3, 0.1), b_o=-0.05)
     for p in (emb.fwd, emb.bwd):  # gate k is row k of the stacked W, U and b
@@ -235,7 +234,7 @@ def test_compose_scalar_oracle():
 
 def test_compose_permutation_sensitive(rng):
     vocab = build_vocab(["ab ba"], min_freq={1: 1, 2: 1, 3: 1, 4: 1})
-    emb = SubwordEmbedder.init(vocab, dim=4, rng=rng)
+    emb = embedder_init(vocab, dim=4, rng=rng)
     v1 = compose_subword("ab", vocab, emb)
     v2 = compose_subword("ba", vocab, emb)
     assert not np.allclose(v1, v2)
@@ -243,7 +242,7 @@ def test_compose_permutation_sensitive(rng):
 
 def test_compose_requires_composer(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=4, use_composer=False, rng=rng)
+    emb = embedder_init(vocab, dim=4, use_composer=False, rng=rng)
     with pytest.raises(UninitializedEmbedder):
         compose_subword("ab", vocab, emb)
 
@@ -251,7 +250,7 @@ def test_compose_requires_composer(rng):
 def test_compose_mismatched_vocab(rng):
     vocab = small_vocab()
     other = build_vocab(["xx yy zz ww qq rr ss tt uu vv"], min_freq={1: 1, 2: 1, 3: 1, 4: 1})
-    emb = SubwordEmbedder.init(vocab, dim=4, rng=rng)
+    emb = embedder_init(vocab, dim=4, rng=rng)
     with pytest.raises(UninitializedEmbedder):
         compose_subword("ab", other, emb)
 
@@ -262,14 +261,14 @@ def test_compose_mismatched_vocab(rng):
 
 def test_features_shape_default_width(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=64, rng=rng)
+    emb = embedder_init(vocab, dim=64, rng=rng)
     F = char_features("ab abc", vocab, emb)
     assert F.shape == (6, 384)
 
 
 def test_features_identical_tokens_identical_rows(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=8, rng=rng)
+    emb = embedder_init(vocab, dim=8, rng=rng)
     text = "ab ab"
     F = char_features(text, vocab, emb)
     emb_cols = slice(4 * 8, None)
@@ -279,7 +278,7 @@ def test_features_identical_tokens_identical_rows(rng):
 
 def test_features_whitespace_rows(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=8, rng=rng)
+    emb = embedder_init(vocab, dim=8, rng=rng)
     F = char_features("ab c", vocab, emb)
     space_row = F[2]
     np.testing.assert_array_equal(space_row[:8], emb.tables[1][SPACE_ID])
@@ -289,7 +288,7 @@ def test_features_whitespace_rows(rng):
 
 def test_features_unseen_characters_finite(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=8, rng=rng)
+    emb = embedder_init(vocab, dim=8, rng=rng)
     F = char_features("zzz qq", vocab, emb)
     assert F.shape == (6, emb.feature_width)
     assert np.all(np.isfinite(F))
@@ -297,10 +296,10 @@ def test_features_unseen_characters_finite(rng):
 
 def test_features_perturbation_locality(rng):
     vocab = build_vocab(["ab cd"], min_freq={1: 1, 2: 1, 3: 1, 4: 1})
-    emb = SubwordEmbedder.init(vocab, dim=4, use_composer=False, rng=rng)
+    emb = embedder_init(vocab, dim=4, use_composer=False, rng=rng)
     text = "ab cd"
     F0 = char_features(text, vocab, emb)
-    emb.tables[1][vocab.lookup(1, "c")] += 1.0
+    emb.tables[1][lookup(vocab, 1, "c")] += 1.0
     F1 = char_features(text, vocab, emb)
     changed = np.flatnonzero(np.any(F0 != F1, axis=1))
     np.testing.assert_array_equal(changed, [3])  # only the row whose window covers "c"
@@ -308,7 +307,7 @@ def test_features_perturbation_locality(rng):
 
 def test_features_backward_grad_check(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=3, rng=rng)
+    emb = embedder_init(vocab, dim=3, rng=rng)
     text = "ab abc"
     params = embedder_tensors(emb)
     W = rng.normal(size=(emb.feature_width,))
@@ -328,6 +327,6 @@ def test_features_backward_grad_check(rng):
 
 def test_features_empty_text(rng):
     vocab = small_vocab()
-    emb = SubwordEmbedder.init(vocab, dim=4, rng=rng)
+    emb = embedder_init(vocab, dim=4, rng=rng)
     F = char_features("", vocab, emb)
     assert F.shape == (0, emb.feature_width)
