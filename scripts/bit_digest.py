@@ -16,6 +16,11 @@ prints one line per case: variant, size (d_emb/hidden) and a sha256 over
   model. ``load_model`` of each file must return the same ``theta`` bytes,
   or the script stops with an error.
 
+Four cases train on spaced sentences (``synth.make_split``); ``sgnws-fused``
+trains on sentences whose words run together (``synth.make_fused_pairs``,
+a space before about 10% of them), so the token composer runs over long
+tokens.
+
 After the digest each line prints ``infer rel``: the worst difference
 between the inference emissions (``Model.batch_emissions`` over the
 case's sentences as one batch: the LSTM input products hoisted into one
@@ -47,16 +52,19 @@ from pathlib import Path
 
 import numpy as np
 
-from charseg.corpus import tag_ids
+from charseg.corpus import DatasetSplit, tag_ids
 from charseg.model import Model, ModelConfig, load_model, save_model, train
 from charseg.subword import TokenMemo, build_vocab
-from charseg.synth import make_split
+from charseg.synth import make_fused_pairs, make_lexicon, make_split
 
+# case -> (ModelConfig overrides, its text: spaced sentences, or fused ones
+# whose words run together into long composer tokens)
 VARIANTS = {
-    "sgnws": {},
-    "bilstm_crf_char": {"variant": "bilstm_crf_char"},
-    "lstm_softmax": {"variant": "lstm_softmax"},
-    "sgnws-2layer": {"num_layers": 2},
+    "sgnws": ({}, "spaced"),
+    "bilstm_crf_char": ({"variant": "bilstm_crf_char"}, "spaced"),
+    "lstm_softmax": ({"variant": "lstm_softmax"}, "spaced"),
+    "sgnws-2layer": ({"num_layers": 2}, "spaced"),
+    "sgnws-fused": ({}, "fused"),
 }
 SIZES = "8/12,32/64,64/200"
 N_SENTENCES = 4
@@ -115,14 +123,19 @@ def main() -> None:
     ap.add_argument("--against", help="compare with the digests, losses and gradients in this .npz file")
     args = ap.parse_args()
 
-    split = make_split(n_train=6, n_dev=3, lexicon_seed=5, sentence_seed=6, n_words=40)
-    vocab = build_vocab([s.text for s, _ in split.train])
+    lexicon = make_lexicon(n_words=40, seed=5)
+    splits = {
+        "spaced": make_split(n_train=6, n_dev=3, lexicon_seed=5, sentence_seed=6, n_words=40),
+        "fused": DatasetSplit(train=make_fused_pairs(lexicon, 6, space_prob=0.1, seed=7),
+                              dev=make_fused_pairs(lexicon, 3, space_prob=0.1, seed=8), test=[]),
+    }
+    vocabs = {kind: build_vocab([s.text for s, _ in split.train]) for kind, split in splits.items()}
     saved = dict(np.load(args.against)) if args.against else None
     raw = {}
     differs = 0
     for size in args.sizes.split(","):
-        for name, overrides in VARIANTS.items():
-            digest, losses, grads, rel = run_case(split, vocab, size, overrides)
+        for name, (overrides, kind) in VARIANTS.items():
+            digest, losses, grads, rel = run_case(splits[kind], vocabs[kind], size, overrides)
             line = f"{name:<16} {size:<7} {digest}  infer rel {rel:.2e}"
             case = f"{name}@{size}"
             raw[case + ".digest"], raw[case + ".loss"], raw[case + ".grad"] = np.array(digest), losses, grads

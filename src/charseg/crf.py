@@ -49,10 +49,6 @@ class ConstraintMask:
     transitions: Array # (K, K)
     positions: Array   # (L, K)
 
-    @classmethod
-    def from_bool(cls, start: Array, end: Array, transitions: Array, positions: Array) -> "ConstraintMask":
-        return cls(*(np.where(b, 0.0, NEG_INF) for b in (start, end, transitions, positions)))
-
 
 def _addends(*allowed: str) -> Array:
     """One read-only row per string: 0.0 at the tags it names, -inf elsewhere."""

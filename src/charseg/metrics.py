@@ -53,6 +53,11 @@ class MetricsReport:
     token: PRF | None = None
 
 
+def _pooled(counts: list[TagCounts]) -> PRF:
+    """P/R/F of the counts summed over tags."""
+    return prf(*(sum(getattr(c, k) for c in counts) for k in ("correct", "predicted", "true")))
+
+
 def tag_prf(gold: Sequence[str], pred: Sequence[str], model: str = "") -> MetricsReport:
     """Position-wise comparison of aligned tag strings."""
     if len(gold) != len(pred):
@@ -70,17 +75,8 @@ def tag_prf(gold: Sequence[str], pred: Sequence[str], model: str = "") -> Metric
             per_tag[pt].predicted += 1
             if gt == pt:
                 per_tag[gt].correct += 1
-    micro = prf(
-        sum(c.correct for c in per_tag.values()),
-        sum(c.predicted for c in per_tag.values()),
-        sum(c.true for c in per_tag.values()),
-    )
-    non_x = [per_tag[t] for t in TAGS if t != "X"]
-    micro_excl_x = prf(
-        sum(c.correct for c in non_x),
-        sum(c.predicted for c in non_x),
-        sum(c.true for c in non_x),
-    )
+    micro = _pooled(list(per_tag.values()))
+    micro_excl_x = _pooled([per_tag[t] for t in TAGS if t != "X"])
     per = [per_tag[t].prf() for t in TAGS]
     macro = PRF(
         p=sum(x.p for x in per) / len(per),

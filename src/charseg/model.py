@@ -106,25 +106,9 @@ class ModelConfig:
     use_start_scores: bool | None = None
     constrained_decode: bool | None = None
 
-    def is_crf(self) -> bool:
-        return VARIANTS[self.variant][3]
-
     def resolve(self) -> "ModelConfig":
-        """Fill variant-dependent defaults and validate the result."""
-        if self.variant not in VARIANTS:
-            raise BadConfig(f"unknown variant {self.variant!r}")
-        cfg = dataclasses.replace(self)
-        crf = cfg.is_crf()
-        if cfg.use_attention is None:
-            cfg.use_attention = cfg.variant == "sgnws"
-        if cfg.use_start_scores is None:
-            cfg.use_start_scores = crf
-        if cfg.constrained_decode is None:
-            cfg.constrained_decode = crf
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
+        """Validate, then fill variant-dependent defaults (a None flag
+        passes every check, and so does the value it resolves to)."""
         if self.variant not in VARIANTS:
             raise BadConfig(f"unknown variant {self.variant!r}")
         for name in ("d_emb", "hidden", "num_layers", "epochs", "batch_size"):
@@ -137,13 +121,15 @@ class ModelConfig:
             raise BadConfig("dropout must lie in [0, 1)")
         if self.attn_width < 0 or self.seed < 0:
             raise BadConfig(f"attn_width and seed must be >= 0, got {self.attn_width} and {self.seed}")
-        crf = self.is_crf()
+        crf = VARIANTS[self.variant][3]
         if self.use_attention and self.variant != "sgnws":
             raise BadConfig(f"use_attention is only valid for variant sgnws, not {self.variant}")
         if self.use_start_scores and not crf:
             raise BadConfig(f"use_start_scores needs a CRF variant, not {self.variant}")
         if self.constrained_decode and not crf:
             raise BadConfig(f"constrained_decode needs a CRF variant, not {self.variant}")
+        defaults = {"use_attention": self.variant == "sgnws", "use_start_scores": crf, "constrained_decode": crf}
+        return dataclasses.replace(self, **{k: v for k, v in defaults.items() if getattr(self, k) is None})
 
     def feature_orders(self) -> tuple[int, ...]:
         orders, _, _, _ = VARIANTS[self.variant]
@@ -371,18 +357,19 @@ class Model:
             return []
         memo.batches += 1
         lengths = [len(t) for t in texts]
-        cur, _ = char_features_cached(texts, self.vocab, self.embedder, memo)
-        for fwd, bwd in self.encoder:
-            cur, _ = (lstm_forward(fwd, cur, False, lengths, memo.buffers) if bwd is None
-                      else bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers))
-        cur, out, at = np.tanh(cur @ self.hidden_proj.W + self.hidden_proj.b), self.out_proj, self.attn
-        E = cur @ out.W + out.b
-        spans = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths).tolist(), lengths)]
-        if at is not None:
-            Q, K, Vp = cur @ at.W_q, cur @ at.W_k, cur @ (at.W_v @ (at.W_o @ out.W))
-            del cur
-            for sl in spans:
-                E[sl] += attention_weights(Q[sl], K[sl]) @ Vp[sl]
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
+            cur, _ = char_features_cached(texts, self.vocab, self.embedder, memo)
+            for fwd, bwd in self.encoder:
+                cur, _ = (lstm_forward(fwd, cur, False, lengths, memo.buffers) if bwd is None
+                          else bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers))
+            cur, out, at = np.tanh(cur @ self.hidden_proj.W + self.hidden_proj.b), self.out_proj, self.attn
+            E = cur @ out.W + out.b
+            spans = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths).tolist(), lengths)]
+            if at is not None:
+                Q, K, Vp = cur @ at.W_q, cur @ at.W_k, cur @ (at.W_v @ (at.W_o @ out.W))
+                del cur
+                for sl in spans:
+                    E[sl] += attention_weights(Q[sl], K[sl]) @ Vp[sl]
         if not np.isfinite(E).all():
             raise NonFiniteEmissions(f"emission scores of a batch of {len(texts)} texts are not all finite")
         return [E[sl] for sl in spans]

@@ -231,30 +231,21 @@ class SubwordEmbedder:
                 )
 
 
-@dataclass
-class ComposerCache:
-    ids: dict[int, np.ndarray]  # order -> (token length,)
-    lstm: BiLstmCache
-
-
 def _token_ids(tokens: Iterable[str], vocab: NgramVocab, orders: tuple[int, ...]) -> dict[str, dict[int, Array]]:
     """Each distinct token's anchored ids per order, looked up once."""
     return {t: {n: vocab.anchored_ids(t, n) for n in orders} for t in dict.fromkeys(tokens)}
 
 
-def _compose(tokens: list[str], token_ids: dict[str, dict[int, Array]], embedder: SubwordEmbedder,
-             cache: bool = False, buffers: dict | None = None) -> tuple[Array, ComposerCache | None]:
+def _compose(X: Array, lengths: list[int], embedder: SubwordEmbedder, cache: bool = False,
+             buffers: dict | None = None) -> tuple[Array, BiLstmCache | None]:
     """Composed vectors of tokens, one row each, from one packed composer
-    pass over their ids (see _token_ids); with cache (one token), also
-    its cache for backprop."""
-    ids = {n: np.concatenate([token_ids[t][n] for t in tokens]) for n in embedder.orders}
-    X = np.hstack([embedder.tables[n][ids[n]] for n in embedder.orders])
-    lengths = [len(t) for t in tokens]
+    pass over X, which holds their n-gram rows one token after another
+    (lengths[k] rows for token k); with cache (one token), also its cache
+    for backprop."""
     Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache, lengths, buffers)
     d = embedder.dim
     ends = np.cumsum(lengths)
-    vec = np.hstack([Y[ends - 1, :d], Y[ends - lengths, d:]])
-    return vec, ComposerCache(ids=ids, lstm=lstm_cache) if cache else None
+    return np.hstack([Y[ends - 1, :d], Y[ends - lengths, d:]]), lstm_cache
 
 
 class TokenMemo(dict):
@@ -273,19 +264,19 @@ class TokenMemo(dict):
 
 @dataclass
 class FeatureCache:
-    text: str
     ids: dict[int, np.ndarray]              # order -> (L,) ids per character row
     spans: list[tuple[int, int]]
-    composers: list[ComposerCache] | None   # one per span, None without composer
-    width: int
+    composers: list[BiLstmCache] | None     # one per span (a token's spans share one), None without composer
 
 
 def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
                          memo: TokenMemo | None = None) -> tuple[Array, FeatureCache | None]:
-    """Feature matrix (L x feature width) plus the cache for backprop.
-    With a memo (inference) the cache is None, text may be a list of texts
-    whose rows F holds one after another, and their distinct tokens not in
-    memo are composed in one packed composer pass."""
+    """Feature matrix (L x feature width) plus the cache for backprop. The
+    composer reads each distinct token's n-gram columns of F at its first
+    span and composes it once; in training one pass per token, whose cache
+    its spans share. With a memo (inference) the cache is None, text may be
+    a list of texts whose rows F holds one after another, and their
+    distinct tokens not in memo are composed in one packed composer pass."""
     embedder.check_vocab(vocab)
     texts = [text] if isinstance(text, str) else text
     starts = itertools.accumulate((len(t) for t in texts), initial=0)
@@ -305,52 +296,52 @@ def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: Sub
         F[:, col : col + dim] = embedder.tables[n][ids[n]]
         col += dim
     composers = None
-    if embedder.use_composer and memo is None:
-        composers = []
-        for (a, b), token in zip(spans, tokens):
-            vec, cc = _compose([token], token_ids, embedder, cache=True)
-            F[a:b, col:] = vec
-            composers.append(cc)
-    elif embedder.use_composer:
-        vecs = {t: memo.get(t) for t in tokens}
+    if embedder.use_composer:
+        first = dict(zip(tokens[::-1], spans[::-1]))  # each token's first span
+        vecs = {t: None if memo is None else memo.get(t) for t in token_ids}  # in order of appearance
         new = [t for t, vec in vecs.items() if vec is None]
-        if new:
-            vecs.update(zip(new, _compose(new, token_ids, embedder, buffers=memo.buffers)[0]))
+        if memo is None:
+            caches = {}
+            for t in new:
+                a, b = first[t]
+                vecs[t], caches[t] = _compose(F[a:b, :col], [b - a], embedder, cache=True)
+            composers = [caches[t] for t in tokens]
+        elif new:
+            X = np.concatenate([F[a:b, :col] for a, b in map(first.get, new)])
+            vecs.update(zip(new, _compose(X, [len(t) for t in new], embedder, buffers=memo.buffers)[0]))
+            if len(memo) + len(new) > MEMO_TOKENS:
+                memo.clear()
+            memo.update((t, vecs[t]) for t in new[-MEMO_TOKENS:])
+            memo.composed += len(new)
         for (a, b), token in zip(spans, tokens):
             F[a:b, col:] = vecs[token]
-        if len(memo) + len(new) > MEMO_TOKENS:
-            memo.clear()
-        memo.update((t, vecs[t]) for t in new[-MEMO_TOKENS:])
-        memo.composed += len(new)
     if memo is not None:
         memo.tokens += len(spans)
         return F, None
-    return F, FeatureCache(text=text, ids=ids, spans=spans, composers=composers, width=embedder.feature_width)
+    return F, FeatureCache(ids=ids, spans=spans, composers=composers)
 
 
 def char_features_backward(cache: FeatureCache, dF: Array, embedder: SubwordEmbedder, grads: SubwordEmbedder) -> None:
     """Scatter feature gradients into the embedding tables and composer
-    weights of grads, adding to what they hold."""
-    if dF.shape != (len(cache.text), cache.width):
-        raise LengthMismatch(f"feature grad {dF.shape} vs cache ({len(cache.text)}, {cache.width})")
-    dim = embedder.dim
-    col = 0
-    for n in embedder.orders:
-        np.add.at(grads.tables[n], cache.ids[n], dF[:, col : col + dim])
-        col += dim
+    weights of grads, adding to what they hold. Each table takes one
+    np.add.at: dF's n-gram rows, then each span's composer input gradient."""
+    L, dim, width = len(cache.ids[embedder.orders[0]]), embedder.dim, embedder.ngram_width
+    if dF.shape != (L, embedder.feature_width):
+        raise LengthMismatch(f"feature grad {dF.shape} vs cache ({L}, {embedder.feature_width})")
+    rows, d_rows = [np.arange(L)], [dF[:, :width]]
     if embedder.use_composer:
         token_f, token_b = zeros_like(embedder.fwd), zeros_like(embedder.bwd)
-        for (a, b), cc in zip(cache.spans, cache.composers):
-            d_vec = dF[a:b, col:].sum(axis=0)
+        for (a, b), lstm in zip(cache.spans, cache.composers):
+            d_vec = dF[a:b, width:].sum(axis=0)
             dY = np.zeros((b - a, 2 * dim))
             dY[-1, :dim] = d_vec[:dim]
             dY[0, dim:] = d_vec[dim:]
-            dX = bilstm_backward(embedder.fwd, embedder.bwd, cc.lstm, dY, token_f, token_b)
+            d_rows.append(bilstm_backward(embedder.fwd, embedder.bwd, lstm, dY, token_f, token_b))
+            rows.append(np.arange(a, b))
             for total, token in ((grads.fwd, token_f), (grads.bwd, token_b)):
                 total.W += token.W
                 total.U += token.U
                 total.b += token.b
-            c2 = 0
-            for n in embedder.orders:
-                np.add.at(grads.tables[n], cc.ids[n], dX[:, c2 : c2 + dim])
-                c2 += dim
+    rows, d_rows = np.concatenate(rows), np.concatenate(d_rows)
+    for k, n in enumerate(embedder.orders):
+        np.add.at(grads.tables[n], cache.ids[n][rows], d_rows[:, k * dim : (k + 1) * dim])

@@ -16,10 +16,17 @@ step): the bits the package's kernels must keep;
 match bit for bit; ``sequence_score`` and ``log_partition`` score one
 tag path and all of them; ``grammar_mask_per_position`` builds the
 boundary-grammar mask position by position, the bytes ``crf.grammar_mask``
-must keep; ``brute_force_paths`` enumerates every tag path of a CRF
-instance; ``compose_subword`` and ``char_features`` run the token
-composer and the feature pass on one token or text; ``lookup`` reads an
-n-gram's id; ``parse_report`` reads a JSON-lines evaluation report back;
+must keep, and ``mask_from_bool`` turns boolean arrays into a mask;
+``brute_force_paths`` enumerates every tag path of a CRF instance;
+``compose_subword`` and ``char_features`` run the token composer and the
+feature pass on one token or text; ``char_features_cached_from_ids`` and
+``char_features_backward_from_ids`` are the feature pass and its backward
+as they were before the composer read its input from the feature matrix
+(composer inputs gathered again from each occurrence's n-gram ids, one
+composer pass per occurrence, a second scatter loop for the composer's
+input gradients): the bits the package's feature pass must keep;
+``lookup`` reads an n-gram's id; ``parse_report`` reads a JSON-lines
+evaluation report back;
 ``uniform_init``, ``lstm_init``, ``dense_init``, ``attention_init``,
 ``crf_init`` and ``embedder_init`` build fresh parameter containers, each
 drawing its own arrays; ``reference_parameters`` builds a model's initial
@@ -34,6 +41,7 @@ model) build.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -41,13 +49,16 @@ from typing import Callable
 
 import numpy as np
 
-from charseg.corpus import N_TAGS, TAG_TO_ID, WHITESPACE
+from charseg.corpus import N_TAGS, TAG_TO_ID, WHITESPACE, _token_spans
 from charseg.crf import ConstraintMask, CrfGrads, CrfParams, _forward, _masked, _path_score
-from charseg.errors import CharsegError, GoldPathForbidden, NoAllowedPath, ShapeMismatch, UninitializedEmbedder
+from charseg.errors import (CharsegError, GoldPathForbidden, LengthMismatch, NoAllowedPath, ShapeMismatch,
+                            UninitializedEmbedder)
 from charseg.metrics import PRF, MetricsReport, TagCounts
 from charseg.model import GATES, VARIANTS, ModelConfig
-from charseg.nncore import AttentionParams, DenseParams, LstmCache, LstmParams, _packing, logsumexp, softmax
-from charseg.subword import FILLER, UNK_ID, NgramVocab, SubwordEmbedder, _compose, _token_ids, char_features_cached
+from charseg.nncore import (AttentionParams, BiLstmCache, DenseParams, LstmCache, LstmParams, _packing,
+                            bilstm_backward, bilstm_forward, logsumexp, softmax, zeros_like)
+from charseg.subword import (FILLER, MEMO_TOKENS, PAD_ID, SPACE_ID, UNK_ID, NgramVocab, SubwordEmbedder, TokenMemo,
+                             _token_ids, char_features_cached)
 
 Array = np.ndarray
 
@@ -205,6 +216,12 @@ def log_partition(emissions: Array, params: CrfParams, mask: ConstraintMask | No
     return log_z
 
 
+def mask_from_bool(start: Array, end: Array, transitions: Array, positions: Array) -> ConstraintMask:
+    """A constraint mask from boolean arrays: True keeps an entry (0.0),
+    False forbids it (-inf)."""
+    return ConstraintMask(*(np.where(b, 0.0, NEG_INF) for b in (start, end, transitions, positions)))
+
+
 # allowed tag bigrams of the boundary grammar; X->X is included so inputs
 # with adjacent whitespace characters always keep at least one legal path
 _ALLOWED_PAIRS = [
@@ -243,7 +260,7 @@ def grammar_mask_per_position(whitespace: list[bool] | np.ndarray) -> Constraint
             positions[i, x_id] = True
         else:
             positions[i, x_id] = False
-    return ConstraintMask.from_bool(start, end, trans, positions)
+    return mask_from_bool(start, end, trans, positions)
 
 
 def brute_force_paths(
@@ -441,14 +458,121 @@ def reference_parameters(config: ModelConfig, vocab: NgramVocab) -> dict[str, Ar
 
 def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) -> Array:
     """Token vector: forward state after the last position, backward state
-    at the first position, concatenated."""
+    at the first position, concatenated (the composer columns of the
+    token's feature rows)."""
     if not token:
         raise ValueError("empty token")
     if not embedder.use_composer or embedder.fwd is None:
         raise UninitializedEmbedder("embedder was built without a composer")
+    F = char_features(token, vocab, embedder)
+    return F[0, embedder.ngram_width :]
+
+
+@dataclass
+class ComposerCache:
+    ids: dict[int, np.ndarray]  # order -> (token length,)
+    lstm: BiLstmCache
+
+
+def compose_from_ids(tokens: list[str], token_ids: dict[str, dict[int, Array]], embedder: SubwordEmbedder,
+                     cache: bool = False, buffers: dict | None = None) -> tuple[Array, ComposerCache | None]:
+    """Composed vectors of tokens, one row each, from one packed composer
+    pass over their ids (see _token_ids); with cache (one token), also
+    its cache for backprop."""
+    ids = {n: np.concatenate([token_ids[t][n] for t in tokens]) for n in embedder.orders}
+    X = np.hstack([embedder.tables[n][ids[n]] for n in embedder.orders])
+    lengths = [len(t) for t in tokens]
+    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache, lengths, buffers)
+    d = embedder.dim
+    ends = np.cumsum(lengths)
+    vec = np.hstack([Y[ends - 1, :d], Y[ends - lengths, d:]])
+    return vec, ComposerCache(ids=ids, lstm=lstm_cache) if cache else None
+
+
+@dataclass
+class FeatureCacheFromIds:
+    text: str
+    ids: dict[int, np.ndarray]              # order -> (L,) ids per character row
+    spans: list[tuple[int, int]]
+    composers: list[ComposerCache] | None   # one per span, None without composer
+    width: int
+
+
+def char_features_cached_from_ids(text: str | list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
+                                  memo: TokenMemo | None = None) -> tuple[Array, FeatureCacheFromIds | None]:
+    """Feature matrix (L x feature width) plus the cache for backprop.
+    With a memo (inference) the cache is None, text may be a list of texts
+    whose rows F holds one after another, and their distinct tokens not in
+    memo are composed in one packed composer pass."""
     embedder.check_vocab(vocab)
-    vec, _ = _compose([token], _token_ids([token], vocab, embedder.orders), embedder, cache=True)
-    return vec[0]
+    texts = [text] if isinstance(text, str) else text
+    starts = itertools.accumulate((len(t) for t in texts), initial=0)
+    spans = [(lo + a, lo + b) for lo, t in zip(starts, texts) for a, b in _token_spans(t)]
+    text = "".join(texts)
+    L = len(text)
+    dim = embedder.dim
+    tokens = [text[a:b] for a, b in spans]
+    token_ids = _token_ids(tokens, vocab, embedder.orders)
+    ids = {n: np.full(L, PAD_ID if n > 1 else SPACE_ID, dtype=np.int64) for n in embedder.orders}
+    for (a, b), token in zip(spans, tokens):
+        for n in embedder.orders:
+            ids[n][a:b] = token_ids[token][n]
+    F = np.zeros((L, embedder.feature_width))
+    col = 0
+    for n in embedder.orders:
+        F[:, col : col + dim] = embedder.tables[n][ids[n]]
+        col += dim
+    composers = None
+    if embedder.use_composer and memo is None:
+        composers = []
+        for (a, b), token in zip(spans, tokens):
+            vec, cc = compose_from_ids([token], token_ids, embedder, cache=True)
+            F[a:b, col:] = vec
+            composers.append(cc)
+    elif embedder.use_composer:
+        vecs = {t: memo.get(t) for t in tokens}
+        new = [t for t, vec in vecs.items() if vec is None]
+        if new:
+            vecs.update(zip(new, compose_from_ids(new, token_ids, embedder, buffers=memo.buffers)[0]))
+        for (a, b), token in zip(spans, tokens):
+            F[a:b, col:] = vecs[token]
+        if len(memo) + len(new) > MEMO_TOKENS:
+            memo.clear()
+        memo.update((t, vecs[t]) for t in new[-MEMO_TOKENS:])
+        memo.composed += len(new)
+    if memo is not None:
+        memo.tokens += len(spans)
+        return F, None
+    return F, FeatureCacheFromIds(text=text, ids=ids, spans=spans, composers=composers, width=embedder.feature_width)
+
+
+def char_features_backward_from_ids(cache: FeatureCacheFromIds, dF: Array, embedder: SubwordEmbedder,
+                                    grads: SubwordEmbedder) -> None:
+    """Scatter feature gradients into the embedding tables and composer
+    weights of grads, adding to what they hold."""
+    if dF.shape != (len(cache.text), cache.width):
+        raise LengthMismatch(f"feature grad {dF.shape} vs cache ({len(cache.text)}, {cache.width})")
+    dim = embedder.dim
+    col = 0
+    for n in embedder.orders:
+        np.add.at(grads.tables[n], cache.ids[n], dF[:, col : col + dim])
+        col += dim
+    if embedder.use_composer:
+        token_f, token_b = zeros_like(embedder.fwd), zeros_like(embedder.bwd)
+        for (a, b), cc in zip(cache.spans, cache.composers):
+            d_vec = dF[a:b, col:].sum(axis=0)
+            dY = np.zeros((b - a, 2 * dim))
+            dY[-1, :dim] = d_vec[:dim]
+            dY[0, dim:] = d_vec[dim:]
+            dX = bilstm_backward(embedder.fwd, embedder.bwd, cc.lstm, dY, token_f, token_b)
+            for total, token in ((grads.fwd, token_f), (grads.bwd, token_b)):
+                total.W += token.W
+                total.U += token.U
+                total.b += token.b
+            c2 = 0
+            for n in embedder.orders:
+                np.add.at(grads.tables[n], cc.ids[n], dX[:, c2 : c2 + dim])
+                c2 += dim
 
 
 def lookup(vocab: NgramVocab, n: int, gram: str) -> int:

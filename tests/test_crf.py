@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from charseg.corpus import TAG_TO_ID, ids_to_tags
 from charseg.crf import (
-    ConstraintMask,
     CrfParams,
     grammar_mask,
     nll_loss,
@@ -18,6 +17,7 @@ from oracles import (
     brute_force_paths,
     grammar_mask_per_position,
     log_partition,
+    mask_from_bool,
     nll_loss_stepwise,
     sequence_score,
     tags_are_valid,
@@ -49,7 +49,7 @@ def random_mask(rng, L):
     end[safe] = True
     trans[safe, safe] = True
     positions[:, safe] = True
-    return ConstraintMask.from_bool(start, end, trans, positions)
+    return mask_from_bool(start, end, trans, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_partition_matches_brute_force(rng):
 
 
 def test_partition_no_allowed_path():
-    mask = ConstraintMask.from_bool(
+    mask = mask_from_bool(
         start=np.zeros(K, dtype=bool),
         end=np.ones(K, dtype=bool),
         transitions=np.ones((K, K), dtype=bool),
@@ -193,7 +193,7 @@ def test_nll_masked_single_path_degenerate():
     trans = np.zeros((K, K), dtype=bool)
     trans[TAG_TO_ID["B"], TAG_TO_ID["E"]] = True
     positions = np.ones((2, K), dtype=bool)
-    mask = ConstraintMask.from_bool(start, end, trans, positions)
+    mask = mask_from_bool(start, end, trans, positions)
     rng = np.random.default_rng(0)
     emissions = rng.normal(size=(2, K))
     params = random_params(rng)
@@ -294,7 +294,7 @@ def test_grammar_mask_shared_parts_are_read_only(field):
 
 
 def test_no_allowed_path_raises():
-    mask = ConstraintMask.from_bool(
+    mask = mask_from_bool(
         start=np.ones(K, dtype=bool),
         end=np.ones(K, dtype=bool),
         transitions=np.zeros((K, K), dtype=bool),

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from collections import Counter
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charseg import subword
 from charseg.errors import EmptyCorpus, UninitializedEmbedder
 from charseg.nncore import zeros_like
 from charseg.subword import (
@@ -15,13 +17,24 @@ from charseg.subword import (
     SPACE_ID,
     UNK_ID,
     NgramVocab,
+    TokenMemo,
     anchored_ngrams,
     build_vocab,
     char_features_backward,
     char_features_cached,
 )
 
-from oracles import char_features, compose_subword, embedder_init, extract_ngrams, grad_check, lookup, named
+from oracles import (
+    char_features,
+    char_features_backward_from_ids,
+    char_features_cached_from_ids,
+    compose_subword,
+    embedder_init,
+    extract_ngrams,
+    grad_check,
+    lookup,
+    named,
+)
 
 
 def small_vocab(sentences=("ab abc a", "abc ab")):
@@ -330,3 +343,77 @@ def test_features_empty_text(rng):
     emb = embedder_init(vocab, dim=4, rng=rng)
     F = char_features("", vocab, emb)
     assert F.shape == (0, emb.feature_width)
+
+
+# words over the vocabulary's letters plus unseen ones ("q", "z"), so some
+# windows are UNK; "bcabcab" and fused runs make long composer tokens
+FEATURE_WORDS = ["ab", "abc", "a", "ba", "cab", "zq", "bcabcab"]
+
+
+@st.composite
+def feature_texts(draw):
+    """Spaced text whose tokens repeat, or fused text: words run together
+    into long tokens, with an occasional space or a double one."""
+    words = draw(st.lists(st.sampled_from(FEATURE_WORDS), min_size=1, max_size=9))
+    gaps = ["", "", "", " ", "  "] if draw(st.booleans()) else [" "]
+    seps = draw(st.lists(st.sampled_from(gaps), min_size=len(words) - 1, max_size=len(words) - 1))
+    return words[0] + "".join(s + w for s, w in zip(seps, words[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=feature_texts(), seed=st.integers(0, 2**16))
+def test_features_and_gradients_match_per_occurrence_reference(text, seed):
+    # F, every table gradient and the composer's weight gradients keep the
+    # bytes of the reference that gathers composer inputs from n-gram ids
+    # per occurrence and scatters their gradients in a second loop
+    vocab = small_vocab(("ab abc a ba", "cab abc ab"))
+    emb = embedder_init(vocab, dim=3, rng=np.random.default_rng(seed))
+    F, cache = char_features_cached(text, vocab, emb)
+    F_ref, cache_ref = char_features_cached_from_ids(text, vocab, emb)
+    assert F.tobytes() == F_ref.tobytes()
+    rng = np.random.default_rng(seed + 1)
+    dF = rng.normal(size=F.shape)
+    # backward adds to what the tables hold
+    grads = dataclasses.replace(emb, tables={n: rng.normal(size=t.shape) for n, t in emb.tables.items()},
+                                fwd=zeros_like(emb.fwd), bwd=zeros_like(emb.bwd))
+    grads_ref = copy.deepcopy(grads)
+    char_features_backward(cache, dF, emb, grads)
+    char_features_backward_from_ids(cache_ref, dF, emb, grads_ref)
+    ref = embedder_tensors(grads_ref)
+    for name, g in embedder_tensors(grads).items():
+        assert g.tobytes() == ref[name].tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=st.lists(st.lists(feature_texts(), min_size=1, max_size=3), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_memo_features_match_per_occurrence_reference(batches, seed):
+    # batches of texts through one memo each: the same F bytes, memo
+    # contents and counts as the reference
+    vocab = small_vocab(("ab abc a ba", "cab abc ab"))
+    emb = embedder_init(vocab, dim=3, rng=np.random.default_rng(seed))
+    memo, memo_ref = TokenMemo(), TokenMemo()
+    for texts in batches:
+        F, cache = char_features_cached(texts, vocab, emb, memo)
+        F_ref, _ = char_features_cached_from_ids(texts, vocab, emb, memo_ref)
+        assert cache is None
+        assert F.tobytes() == F_ref.tobytes()
+        assert (memo.tokens, memo.composed) == (memo_ref.tokens, memo_ref.composed)
+        assert list(memo) == list(memo_ref)
+        assert all(memo[t].tobytes() == memo_ref[t].tobytes() for t in memo)
+
+
+def test_training_composes_each_distinct_token_once(rng, monkeypatch):
+    vocab = small_vocab()
+    emb = embedder_init(vocab, dim=4, rng=rng)
+    compose, calls = subword._compose, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(subword, "_compose", counting)
+    F, cache = char_features_cached(" ".join(["abc"] * 4), vocab, emb)
+    assert len(calls) == 1
+    assert len(cache.composers) == 4 and all(c is cache.composers[0] for c in cache.composers)
+    np.testing.assert_array_equal(F[4:7], F[:3])
