@@ -22,13 +22,18 @@ a space before about 10% of them), so the token composer runs over long
 tokens.
 
 After the digest each line prints ``infer rel``: the worst difference
-between the inference emissions (``Model.batch_emissions`` over the
-case's sentences as one batch: the LSTM input products hoisted into one
-GEMM, the sequences run together, each sigmoid gate taken as
-1/2 + tanh(z/2)/2, and the head run once over the batch's rows with
-attention's value path folded into the output layer) and the training
-forward's, relative to the largest emission, on the same sentences
-before and after training. It is not hashed.
+between the inference emissions and the training forward's, relative to
+the largest emission, on the same texts before and after training. It is
+not hashed. Inference (``Model.batch_emissions``) runs two batches: the
+case's sentences, and two texts of several hundred characters each
+built from them, longer than ``model.BATCH_CHARS``, so they pair up as
+two long lines do in ``predict_many``. In both, the LSTM input products
+come from GEMMs over chunks of whole packed steps, the sequences run
+together, each sigmoid gate is taken as 1/2 + tanh(z/2)/2, and the head
+runs once over the batch's rows with attention's value path folded into
+the output layer. The long texts take their gate inputs in several
+chunks and their attention in several row blocks
+(``nncore.BLOCK_ROWS``).
 
 ``--save FILE`` keeps each case's digest and its raw losses and
 gradients. ``--against FILE`` prints, per case, ``digest same`` or
@@ -53,7 +58,8 @@ from pathlib import Path
 import numpy as np
 
 from charseg.corpus import DatasetSplit, tag_ids
-from charseg.model import Model, ModelConfig, load_model, save_model, train
+from charseg.model import BATCH_CHARS, Model, ModelConfig, load_model, save_model, train
+from charseg.nncore import BLOCK_ROWS
 from charseg.subword import TokenMemo, build_vocab
 from charseg.synth import make_fused_pairs, make_lexicon, make_split
 
@@ -71,11 +77,15 @@ N_SENTENCES = 4
 
 
 def infer_rel(model: Model, texts: list[str]) -> float:
-    """Worst max|E_infer - E| / max|E| over texts."""
+    """Worst max|E_infer - E| / max|E| over texts as one batch and over two
+    long texts made of them as another."""
+    long_texts = [" ".join(texts * 4), " ".join(texts[::-1] * 3)]
+    assert min(map(len, long_texts)) > max(BATCH_CHARS, BLOCK_ROWS)
     worst = 0.0
-    for text, E_inf in zip(texts, model.batch_emissions(texts, TokenMemo())):
-        E, _ = model.emissions(text)
-        worst = max(worst, float(np.max(np.abs(E_inf - E)) / np.max(np.abs(E))))
+    for batch in (texts, long_texts):
+        for text, E_inf in zip(batch, model.batch_emissions(batch, TokenMemo())):
+            E, _ = model.emissions(text)
+            worst = max(worst, float(np.max(np.abs(E_inf - E)) / np.max(np.abs(E))))
     return worst
 
 

@@ -14,6 +14,7 @@ writers serialize.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import unicodedata
 from dataclasses import dataclass
@@ -34,6 +35,13 @@ WHITESPACE = frozenset({" ", "\t"})
 # intra-token hyphens (dates, ranges) survive
 DELIMITERS = frozenset({".", ",", "?", ":", ";", "!"})
 DASH = "-"
+
+
+def whitespace_flags(text: str) -> np.ndarray:
+    """Per character of text, whether it is in WHITESPACE: one comparison
+    per whitespace character over the text's code points."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return functools.reduce(np.logical_or, [codes == ord(c) for c in sorted(WHITESPACE)])
 
 
 def normalize_text(raw: bytes | str) -> str:

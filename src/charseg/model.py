@@ -37,11 +37,12 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import crf as crf_mod
-from .corpus import N_TAGS, WHITESPACE, DatasetSplit, Sentence, ids_to_tags, replace_on_success, tag_ids
+from .corpus import N_TAGS, DatasetSplit, Sentence, ids_to_tags, replace_on_success, tag_ids, whitespace_flags
 from .errors import (BadConfig, BadMagic, EmptyCorpus, LengthMismatch, NonFiniteEmissions, ShapeMismatch,
                      UninitializedEmbedder, VocabMismatch)
 from .metrics import tag_prf
 from .nncore import (
+    BLOCK_ROWS,
     AdamaxState,
     AttentionParams,
     DenseParams,
@@ -352,7 +353,10 @@ class Model:
         non-empty text, in order, from one packed composer pass over the
         new tokens (see memo), one packed pass per encoder layer and
         direction, then the head once over all rows: all after attention's
-        softmax A is linear, so per text only A and A (D (W_v W_o W_out)) remain."""
+        softmax A is linear, so per text only A and A (D (W_v W_o W_out))
+        remain. Attention runs by blocks of BLOCK_ROWS rows of a text, so
+        no array holds more than BLOCK_ROWS x L scores and memory grows
+        linearly with text length."""
         if not texts:
             return []
         memo.batches += 1
@@ -369,7 +373,9 @@ class Model:
                 Q, K, Vp = cur @ at.W_q, cur @ at.W_k, cur @ (at.W_v @ (at.W_o @ out.W))
                 del cur
                 for sl in spans:
-                    E[sl] += attention_weights(Q[sl], K[sl]) @ Vp[sl]
+                    for lo in range(sl.start, sl.stop, BLOCK_ROWS):
+                        rows = slice(lo, min(lo + BLOCK_ROWS, sl.stop))
+                        E[rows] += attention_weights(Q[rows], K[sl]) @ Vp[sl]
         if not np.isfinite(E).all():
             raise NonFiniteEmissions(f"emission scores of a batch of {len(texts)} texts are not all finite")
         return [E[sl] for sl in spans]
@@ -402,7 +408,8 @@ class Model:
         """
         if len(text) != len(gold):
             raise LengthMismatch(f"{len(text)} characters vs {len(gold)} tags")
-        E, cache = self.emissions(text, mode=mode, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
+            E, cache = self.emissions(text, mode=mode, seed=seed)
         if not np.isfinite(E).all():
             raise NonFiniteEmissions(f"emission scores of a {len(text)}-character sentence are not all finite")
         # backprop writes every view whole but those it adds into and the frozen start
@@ -432,8 +439,9 @@ class Model:
     def predict_many(self, texts: Iterable[str], memo: TokenMemo | None = None) -> Iterator[str]:
         """Tag strings for normalized sentences, lazily, one per text (""
         for an empty one). Consecutive texts run through batch_emissions
-        in batches of at most BATCH_CHARS characters; a longer text runs
-        alone. Tokens are composed through memo, emptied first so it lives
+        in the batches of _batches: at most BATCH_CHARS characters, or two
+        texts when they are longer. Memory grows linearly with the longest
+        text. Tokens are composed through memo, emptied first so it lives
         for this call only; pass one to read its counts."""
         memo = TokenMemo() if memo is None else memo
         memo.clear()
@@ -447,7 +455,7 @@ class Model:
                 if self.crf is None:
                     path = np.argmax(E, axis=-1)
                 else:
-                    mask = crf_mod.grammar_mask([c in WHITESPACE for c in text]) if self.config.constrained_decode else None
+                    mask = crf_mod.grammar_mask(whitespace_flags(text)) if self.config.constrained_decode else None
                     path, _ = crf_mod.viterbi_decode(E, self.crf, mask)
                 yield ids_to_tags(path)
 
@@ -458,14 +466,18 @@ class Model:
 
 def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
     """Consecutive texts, lazily, in lists of at most BATCH_CHARS
-    characters, or of one longer text; empty texts ride along."""
-    batch, chars = [], 0
+    characters, or of two non-empty texts that pass it together (empty
+    texts ride along): a batch closes only once it holds two non-empty
+    texts and the next text would pass BATCH_CHARS. Two long texts thus
+    share every recurrent step's product with W."""
+    batch, chars, nonempty = [], 0, 0
     for text in texts:
-        if batch and chars + len(text) > BATCH_CHARS:
+        if nonempty >= 2 and chars + len(text) > BATCH_CHARS:
             yield batch
-            batch, chars = [], 0
+            batch, chars, nonempty = [], 0, 0
         batch.append(text)
         chars += len(text)
+        nonempty += bool(text)
     if batch:
         yield batch
 

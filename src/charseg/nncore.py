@@ -11,6 +11,7 @@ vector laid out like its parameters.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 from dataclasses import dataclass
@@ -127,7 +128,7 @@ def lstm_forward(params: LstmParams, X: Array, cache: bool = True, lengths: list
     with W_i the first h rows of W and so on; a step adds W h, U x and b
     in this order. The products U x come first: in training one GEMV per
     gate block and row (the bits of U x per step), in inference (cache
-    False) one X @ U.T GEMM, which may round differently. Inference may
+    False) X @ U.T GEMMs, which may round differently. Inference may
     pass lengths of sequences X holds one after another, run together
     time-major (see _packing); H comes back in X's row order. It takes each
     sigmoid as 1/2 + tanh(z/2)/2, one tanh per step (see _lstm_passes)."""
@@ -139,12 +140,20 @@ def lstm_forward(params: LstmParams, X: Array, cache: bool = True, lengths: list
 # bytes; past half of a 2 MiB L2 it ran slower (25% faster at h=64, 15% slower at 200)
 STACK_BYTES = 1 << 20
 
+# inference works on at most this many rows at once where a whole pass would
+# scale with text length: LSTM gate inputs (see _lstm_passes) and rows of attention
+BLOCK_ROWS = 256
+
 
 def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[int] | None,
                  buffers: dict | None = None) -> tuple[list[Array], list[LstmCache]]:
     """lstm_forward of dirs[0] over X and of dirs[1], if given, over X reversed.
     Inference fills a copy of W.T, the i, f and o columns halved, into a
-    buffer it keeps in buffers by shape, so later passes allocate none."""
+    buffer it keeps in buffers by shape, so later passes allocate none. It
+    takes the gate inputs X @ U.T + b, scaled, one chunk of whole packed
+    steps at a time (BLOCK_ROWS rows, or one step that holds more), from
+    that chunk's rows of X alone: its memory beyond X and H does not grow
+    with the pass."""
     N, h, D = X.shape[0], dirs[0].hidden_dim, len(dirs)
     if D == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES:
         (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths, buffers)
@@ -157,15 +166,14 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
     if packs is not None and (cache or len(packs[0][0]) != N):
         raise ShapeMismatch(f"lstm_forward: lengths {lengths} for {N} rows, cache {cache}")
     sizes = [1] * N if packs is None else packs[0][1]
-    A = np.empty((N, D, 4 * h))
-    for d, p in enumerate(dirs):
-        if cache:  # an h-row block of U stays in cache across the rows
+    bounds, n_max = np.cumsum([0] + sizes).tolist(), max(sizes, default=1)
+    b = np.stack([p.b for p in dirs])
+    if cache:
+        A, first = np.empty((N, D, 4 * h)), 0
+        for d, p in enumerate(dirs):  # an h-row block of U stays in cache across the rows
             for k in range(4):
                 np.matmul(p.U[k * h : (k + 1) * h], Xs[d][:, :, None], out=A[:, d, k * h : (k + 1) * h, None])
-        else:
-            np.matmul(Xs[d] if packs is None else Xs[d][packs[d][0]], p.U.T, out=A[:, d])
-    b = np.stack([p.b for p in dirs])
-    if not cache:  # the i, f and o pre-activations halved (exact), b added once
+    else:  # the i, f and o pre-activations halved (exact), b added once
         s, shift = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]], h, axis=1)
         key, buffers = (D, h), {} if buffers is None else buffers
         if key not in buffers:  # (n x h) @ (h x 4h) runs 2-3x faster with W.T contiguous
@@ -173,18 +181,33 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         W_T = buffers[key]
         for d, p in enumerate(dirs):
             np.multiply(p.W.T, s, out=W_T[d])
-        A += b
-        A *= s
+        A = np.empty((max(min(N, BLOCK_ROWS), n_max), D, 4 * h))
+
+        def fill(lo: int, t: int) -> int:
+            """Gate inputs of the steps from step t (packed row lo) on into A, from
+            only their rows of X; returns the packed row after the chunk."""
+            hi = bounds[max(t + 1, bisect.bisect_right(bounds, lo + BLOCK_ROWS) - 1)]
+            for d, p in enumerate(dirs):
+                np.matmul(Xs[d][lo:hi] if packs is None else Xs[d][packs[d][0][lo:hi]], p.U.T, out=A[: hi - lo, d])
+            A[: hi - lo] += b
+            A[: hi - lo] *= s
+            return hi
+
+        # A holds packed rows [first, hi); filling the first chunk here frees its
+        # gathered rows of X before the states below are allocated
+        first, hi = 0, fill(0, 0) if N else 0
     W = (dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs])) if cache else W_T.transpose(0, 2, 1)
     # training keeps every state (row t enters step t), inference the running ones
-    n_max = max(sizes, default=1)
     HS, CS = np.zeros((2, N + 1 if cache else n_max, D, h))
     H = HS[1:] if cache else np.empty((N, D, h))
     rec, tanh_g, ig = np.empty((n_max, D, 4 * h)), np.empty((n_max, D, h)), np.empty((n_max, D, h))
     i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
-    for lo, n in zip(np.cumsum([0] + sizes).tolist(), sizes):
+    for t, (lo, n) in enumerate(zip(bounds, sizes)):
+        if not cache and lo == hi:
+            first, hi = lo, fill(lo, t)
+        a = A[lo - first : lo - first + n]
         p, q = (slice(lo, lo + 1), slice(lo + 1, lo + 2)) if cache else (slice(0, n), slice(0, n))
-        a, r, tg, c = A[lo : lo + n], rec[:n], tanh_g[:n], CS[q]
+        r, tg, c = rec[:n], tanh_g[:n], CS[q]
         if n == 1:
             np.matmul(W, HS[p.start, :, :, None], out=r[0, :, :, None])
         else:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import charseg
 from charseg import model as model_mod
 from charseg.cli import main
-from charseg.corpus import Sentence, read_labeled, tags_from_segmentation, write_labeled
+from charseg.corpus import Sentence, read_labeled, segmentation_from_tags, tags_from_segmentation, write_labeled
 from charseg.errors import CharsegError
+from charseg.nncore import BLOCK_ROWS
 from charseg.subword import NgramVocab
 from charseg.synth import make_lexicon, make_sentences
 
@@ -605,23 +606,63 @@ def test_huge_checkpoint_config_exits_2_before_allocating(tmp_path, field, value
     assert not (tmp_path / "out.txt").exists()
 
 
-def test_segment_out_of_memory_exits_2(tmp_path):
-    # one 23,188-character line asks attention for a 4 GiB L x L array: past
-    # a 1 GiB address-space cap that is one error line and exit 2, and the
-    # atomic write leaves no output file
-    v1 = Path(__file__).parent / "data" / "v1_sgnws"
+# segment in a child process whose address space may grow only 32 MiB past
+# what it maps once charseg is imported and BLAS has mapped its buffers
+TIGHT_CHILD = """
+import json, os, resource, sys
+import numpy as np
+from charseg.cli import main
+np.ones((512, 512)) @ np.ones((512, 512))
+mapped = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (32 << 20), mapped + (32 << 20)))
+print(json.dumps({"code": main(sys.argv[1:])}))
+"""
+
+
+@pytest.fixture(scope="module")
+def long_line(tmp_path_factory):
+    # one 23,188-character line: attention over it as one L x L array would
+    # take 4 GiB, one row block of it 45 MiB
     text = " ".join(make_sentences(make_lexicon(n_words=40, seed=5), 3000, seed=6))[:23188]
-    inp = tmp_path / "in.txt"
-    inp.write_text(text + "\n", encoding="utf-8")
+    path = tmp_path_factory.mktemp("long") / "in.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    return text, path
+
+
+def start_segment(child: str, inp: Path, out: Path) -> subprocess.Popen:
+    """segment of inp into out with the v1 checkpoint, run by child in a
+    process of its own; communicate() returns its stdout and stderr."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(charseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CAPPED_CHILD, "segment", "--checkpoint", str(v1 / "checkpoint.bin"),
-         "--input", str(inp), "--output", str(tmp_path / "out.txt")],
-        capture_output=True, text=True, env=env, timeout=600,
+    return subprocess.Popen(
+        [sys.executable, "-c", child, "segment", "--checkpoint", str(V1_DIR / "checkpoint.bin"),
+         "--input", str(inp), "--output", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
-    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert json.loads(proc.stdout)["code"] == 2
+
+
+def test_segment_long_line_under_address_space_cap(long_line, tmp_path):
+    # attention by row blocks and gate inputs by chunks: memory grows
+    # linearly with the line, so it segments under a 1 GiB cap, as an
+    # uncapped predict_many does
+    text, inp = long_line
+    child = start_segment(CAPPED_CHILD, inp, tmp_path / "out.txt")
+    net = model_mod.load_model(V1_DIR / "checkpoint.bin", NgramVocab.load(V1_DIR / "vocab.tsv"))
+    tokens, _ = segmentation_from_tags(text, next(net.predict_many([text])))
+    stdout, stderr = child.communicate(timeout=600)
+    assert json.loads(stdout)["code"] == 0, stderr
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == " ".join(tokens) + "\n"
+
+
+def test_segment_out_of_memory_exits_2(long_line, tmp_path):
+    # the same line's first attention row block passes a cap 32 MiB above
+    # the mapped start: that MemoryError is one error line and exit 2, and
+    # the atomic write leaves no output file
+    text, inp = long_line
+    stdout, stderr = start_segment(TIGHT_CHILD, inp, tmp_path / "out.txt").communicate(timeout=600)
+    assert stderr.startswith("error: out of memory: ") and stderr.count("\n") == 1, stderr
+    assert f"({BLOCK_ROWS}, {len(text)})" in stderr
+    assert json.loads(stdout)["code"] == 2
     assert not (tmp_path / "out.txt").exists()
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charseg.corpus import (
+    WHITESPACE,
     DatasetSplit,
     Sentence,
     corpus_stats,
@@ -15,6 +16,7 @@ from charseg.corpus import (
     tag_ids,
     tags_from_segmentation,
     tags_to_spans,
+    whitespace_flags,
     write_labeled,
 )
 from charseg.errors import (
@@ -28,6 +30,21 @@ from charseg.errors import (
 from charseg.synth import labeled_pairs, make_lexicon, make_sentences
 
 from oracles import tags_are_valid
+
+
+# ---------------------------------------------------------------------------
+# whitespace flags
+# ---------------------------------------------------------------------------
+
+@given(st.text(alphabet=st.sampled_from([" ", "\t", "\n", "\u00a0", "a", "\u0633", "\u200c", "\U0001d538",
+                                           "\U0001f600", "\U00010000", "\ud800"]), max_size=60))
+@settings(max_examples=100)
+def test_whitespace_flags_match_per_character_membership(text):
+    # one flag per character: a non-BMP character is one code point, and a
+    # lone surrogate one flag too
+    flags = whitespace_flags(text)
+    assert flags.dtype == bool
+    np.testing.assert_array_equal(flags, np.array([c in WHITESPACE for c in text], dtype=bool))
 
 
 # ---------------------------------------------------------------------------

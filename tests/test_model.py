@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from charseg.model import (
     BATCH_CHARS,
     Model,
     ModelConfig,
+    _batches,
     build,
     load_model,
     read_checkpoint,
@@ -39,6 +41,7 @@ from charseg.model import (
     train,
     write_checkpoint,
 )
+from charseg.nncore import BLOCK_ROWS
 from charseg.subword import NgramVocab, TokenMemo, build_vocab
 from charseg.synth import make_lexicon, make_sentences, make_split
 
@@ -304,6 +307,19 @@ def test_loss_refuses_non_finite_emissions(tiny):
         model.loss(s.text, tag_ids(t), mode="eval")
 
 
+def test_loss_refuses_non_finite_emissions_without_warnings(tiny):
+    # the overflow is reported once, as the error, not as numpy warnings too
+    split, vocab = tiny
+    model = Model(tiny_config(), vocab)
+    model.theta[...] = 1e308
+    s, t = split.train[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteEmissions):
+            model.loss(s.text, tag_ids(t), mode="train", seed=0)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
+
+
 def test_model_over_given_vector(tiny):
     # a loader passes the vector it fills: the parameters are its views and
     # nothing is drawn into it; a vector of another size is refused
@@ -538,7 +554,9 @@ def test_predict_many_matches_cached_emissions(tiny, variant):
     assert list(model.predict_many([long_text])) == [got[21]]
     assert memo.tokens == sum(len(t.split()) for t in texts)
     assert memo.composed == (len({w for t in texts for w in t.split()}) if variant != "lstm_softmax" else 0)
-    assert 3 <= memo.batches < len(full)  # the long text ran alone
+    # the long text shares its batch with the next non-empty text only
+    assert 3 <= memo.batches == len(list(_batches(texts))) < len(full)
+    assert [[t for t in b if t] for b in _batches(texts) if long_text in b] == [[long_text, fixed[20]]]
     for text, E in zip(full[:8], model.batch_emissions(full[:8], TokenMemo())):
         ref, _ = model.emissions(text)
         assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -558,6 +576,56 @@ def test_batch_emissions_match_training_forward(tiny, kw):
         for text, E in zip(batch, model.batch_emissions(batch, TokenMemo()), strict=True):
             ref, _ = model.emissions(text)
             assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(d_emb=64, hidden=200)], ids=["stacked", "split"])
+def test_batch_emissions_by_blocks_and_chunks_match_training_forward(tiny, kw):
+    # texts longer than one attention row block whose gate inputs span
+    # several chunks, alone and packed with others; small h runs both
+    # directions in one step loop, h=200 one loop per direction
+    split, vocab = tiny
+    model = Model(tiny_config(**kw), vocab)
+    texts = [s.text for s, _ in split.train]
+    long_a, long_b = " ".join(texts * 2), " ".join(texts[::-1])
+    assert len(long_a) > 2 * BLOCK_ROWS and len(long_b) > BLOCK_ROWS
+    for batch in ([long_a], [long_a, texts[0], long_b]):
+        for text, E in zip(batch, model.batch_emissions(batch, TokenMemo()), strict=True):
+            ref, _ = model.emissions(text)
+            assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_long_texts_batched_in_pairs(tiny):
+    # a batch closes only once it holds two non-empty texts: two texts
+    # longer than a batch share one pass, and a third text starts the next
+    split, vocab = tiny
+    model = Model(tiny_config(d_emb=8, hidden=12), vocab)
+    texts = [s.text for s, _ in split.train]
+    long_a, long_b = " ".join(texts), " ".join(texts[::-1])
+    assert min(len(long_a), len(long_b)) > BATCH_CHARS
+    alone = [model.predict(long_a), model.predict(long_b)]
+    memo = TokenMemo()
+    assert list(model.predict_many([long_a, long_b], memo)) == alone
+    assert memo.batches == 1
+    memo = TokenMemo()
+    assert list(model.predict_many(["", long_a, "", long_b, "", texts[0]], memo)) == [
+        "", alone[0], "", alone[1], "", model.predict(texts[0])]
+    assert memo.batches == 2
+
+
+def test_predict_many_memory_linear_in_text_length(tiny):
+    # attention by row blocks and gate inputs by chunks: one text of about
+    # 4,000 characters never holds an L x L array
+    split, vocab = tiny
+    model = Model(tiny_config(), vocab)
+    text = " ".join(s.text for s, _ in split.train * 13)
+    L = len(text)
+    assert 3900 < L < 4200
+    list(model.predict_many([text[:300]]))  # first-call allocations
+    tracemalloc.start()
+    list(model.predict_many([text]))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < L * L * 8, (peak, L * L * 8)
 
 
 def test_predict_many_after_parameter_write(tiny):
