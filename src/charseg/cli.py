@@ -18,6 +18,11 @@ import sys
 import time
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import corpus, metrics, model as model_mod, subword
 from .errors import BadConfig, CharsegError, InvalidUtf8, NumericFailure
 
@@ -172,18 +177,23 @@ def _load_model(args) -> model_mod.Model:
 
 
 def _print_summary(start: float, lengths: list[int], memo: subword.TokenMemo, **extra) -> None:
-    """Print the run's summary, wall time from start included, as one JSON line on stderr."""
+    """Print the run's summary, wall time from start included, as one JSON line on stderr;
+    max_rss_mb is the process's peak resident memory so far, where resource exists."""
     seconds, chars = time.perf_counter() - start, sum(lengths)
     summary = dict(sentences=len(lengths), chars=chars, seconds=round(seconds, 6),
                    chars_per_s=round(chars / seconds, 1), longest_line=max(lengths, default=0),
                    tokens=memo.tokens, composed=memo.composed, batches=memo.batches, **extra)
+    if resource is not None:  # ru_maxrss is in KiB on Linux, in bytes on macOS
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+        summary["max_rss_mb"] = round(kib / 1024, 1)
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
 
 
 def cmd_segment(args) -> int:
+    """Each line is written as it is tagged, to --output and, with
+    --emit-tags, to the char/tag file; a failure leaves neither file."""
     start = time.perf_counter()
     net = _load_model(args)
-    tagged: list[tuple[corpus.Sentence, str]] = []
     lengths: list[int] = []
     repairs = 0
     memo = subword.TokenMemo()
@@ -191,7 +201,9 @@ def cmd_segment(args) -> int:
                                 for _, line in corpus.utf8_lines(args.input))
     output = (contextlib.nullcontext(sys.stdout) if args.output == "-"
               else corpus.replace_on_success(args.output, "w", encoding="utf-8", newline="\n"))
-    with output as out:
+    tag_output = (corpus.replace_on_success(args.emit_tags, "w", encoding="utf-8", newline="\n")
+                  if args.emit_tags else contextlib.nullcontext())
+    with tag_output as tag_out, output as out:
         for text, tags in zip(texts, net.predict_many(feed, memo)):
             if not text:
                 out.write("\n")
@@ -200,10 +212,8 @@ def cmd_segment(args) -> int:
             tokens, n_rep = corpus.segmentation_from_tags(text, tags)
             repairs += n_rep
             out.write(" ".join(tokens) + "\n")
-            if args.emit_tags:
-                tagged.append((corpus.Sentence(text=text), tags))
-    if args.emit_tags:
-        corpus.write_labeled(args.emit_tags, tagged)
+            if tag_out is not None:
+                tag_out.write(corpus.labeled_block(text, tags))
     _print_summary(start, lengths, memo, repairs=repairs)
     return EXIT_OK
 

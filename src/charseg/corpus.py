@@ -339,14 +339,17 @@ def _unescape_char(fieldtext: str, line_no: int) -> str:
     raise BadEscape(line_no, f"bad character field {fieldtext!r}")
 
 
+def labeled_block(text: str, tags: str) -> str:
+    """One sentence in the labeled format: its character lines and the blank line after them."""
+    if len(text) != len(tags):
+        raise LengthMismatch(f"{len(text)} characters vs {len(tags)} tags")
+    return "".join(f"{_escape_char(ch)}\t{tag}\n" for ch, tag in zip(text, tags)) + "\n"
+
+
 def write_labeled(path, pairs: Iterable[tuple[Sentence, str]]) -> None:
     with replace_on_success(path, "w", encoding="utf-8", newline="\n") as f:
         for sentence, tags in pairs:
-            if len(sentence.text) != len(tags):
-                raise LengthMismatch(f"{len(sentence.text)} characters vs {len(tags)} tags")
-            for ch, tag in zip(sentence.text, tags):
-                f.write(f"{_escape_char(ch)}\t{tag}\n")
-            f.write("\n")
+            f.write(labeled_block(sentence.text, tags))
 
 
 def read_labeled(path) -> list[tuple[Sentence, str]]:

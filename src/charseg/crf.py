@@ -176,17 +176,18 @@ def viterbi_decode(
     L, K = emis.shape
     delta = start + emis[0]
     backptr = np.zeros((L, K), dtype=np.int64)
+    cand = np.empty((K, K))  # (prev, next)
     for t in range(1, L):
-        cand = delta[:, None] + trans              # (prev, next)
-        backptr[t] = np.argmax(cand, axis=0)       # first max = lowest tag index
-        delta = cand[backptr[t], np.arange(K)] + emis[t]
+        np.add(delta[:, None], trans, out=cand)
+        cand.argmax(axis=0, out=backptr[t])  # first max = lowest tag index
+        cand.max(axis=0, out=delta)  # the value at that index, -inf and NaN too
+        delta += emis[t]
     final = delta + end
     best_last = int(np.argmax(final))
     best_score = float(final[best_last])
     if not np.isfinite(best_score):
         raise NoAllowedPath("constraint mask leaves no complete path")
-    path = np.empty(L, dtype=np.int64)
-    path[L - 1] = best_last
+    path, ptrs = [best_last], backptr.tolist()
     for t in range(L - 1, 0, -1):
-        path[t - 1] = backptr[t, path[t]]
-    return path, best_score
+        path.append(ptrs[t][path[-1]])
+    return np.array(path[::-1], dtype=np.int64), best_score

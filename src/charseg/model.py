@@ -356,7 +356,9 @@ class Model:
         softmax A is linear, so per text only A and A (D (W_v W_o W_out))
         remain. Attention runs by blocks of BLOCK_ROWS rows of a text, so
         no array holds more than BLOCK_ROWS x L scores and memory grows
-        linearly with text length."""
+        linearly with text length. The dense rows D are computed in place
+        once the encoder output is let go; beside D, at most one text's K
+        and one block's Q are alive (see _rows_of)."""
         if not texts:
             return []
         memo.batches += 1
@@ -366,16 +368,24 @@ class Model:
             for fwd, bwd in self.encoder:
                 cur, _ = (lstm_forward(fwd, cur, False, lengths, memo.buffers) if bwd is None
                           else bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers))
-            cur, out, at = np.tanh(cur @ self.hidden_proj.W + self.hidden_proj.b), self.out_proj, self.attn
-            E = cur @ out.W + out.b
+            D = cur @ self.hidden_proj.W
+            del cur
+            D += self.hidden_proj.b
+            np.tanh(D, out=D)
+            out, at = self.out_proj, self.attn
+            E = D @ out.W + out.b
             spans = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths).tolist(), lengths)]
             if at is not None:
-                Q, K, Vp = cur @ at.W_q, cur @ at.W_k, cur @ (at.W_v @ (at.W_o @ out.W))
-                del cur
+                Vp = D @ (at.W_v @ (at.W_o @ out.W))
+                # short texts (a batch of at most BLOCK_ROWS rows) take Q and K in one
+                # product each; longer ones one text's K and one block's Q at a time
+                QK = (D @ at.W_q, D @ at.W_k) if len(D) <= BLOCK_ROWS else None
                 for sl in spans:
+                    K = QK[1][sl] if QK else _rows_of(D, sl.start, sl.stop, at.W_k)
                     for lo in range(sl.start, sl.stop, BLOCK_ROWS):
-                        rows = slice(lo, min(lo + BLOCK_ROWS, sl.stop))
-                        E[rows] += attention_weights(Q[rows], K[sl]) @ Vp[sl]
+                        hi = min(lo + BLOCK_ROWS, sl.stop)
+                        Q = QK[0][lo:hi] if QK else _rows_of(D, lo, hi, at.W_q)
+                        E[lo:hi] += attention_weights(Q, K) @ Vp[sl]
         if not np.isfinite(E).all():
             raise NonFiniteEmissions(f"emission scores of a batch of {len(texts)} texts are not all finite")
         return [E[sl] for sl in spans]
@@ -464,6 +474,15 @@ class Model:
         return next(self.predict_many([text]))
 
 
+def _rows_of(D: Array, lo: int, hi: int, W: Array) -> Array:
+    """(D @ W)[lo:hi] from a product over at least BLOCK_ROWS rows of D (all
+    of them if it has fewer): BLAS may take a product of a few rows through
+    a kernel that rounds differently (OpenBLAS does), and the rows keep the
+    bits of one product over all of D."""
+    a = max(0, min(lo, len(D) - BLOCK_ROWS))
+    return (D[a : max(hi, a + BLOCK_ROWS)] @ W)[lo - a : hi - a]
+
+
 def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
     """Consecutive texts, lazily, in lists of at most BATCH_CHARS
     characters, or of two non-empty texts that pass it together (empty
@@ -519,7 +538,9 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
 
     Per epoch: seeded shuffle, per-batch backprop, global-norm clipping,
     Adamax update; then dev evaluation. Dev must be non-empty up front so
-    model selection is always defined.
+    model selection is always defined. Beyond theta it holds Adamax's m
+    and u, one best-dev buffer refreshed in place, and the batch's
+    gradient: a sentence's is let go once it is in the batch.
     """
     cfg = model.config
     if not split.train:
@@ -529,8 +550,7 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
     opt = AdamaxState.init(model.theta, lr=cfg.lr)
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[EpochRecord] = []
-    best_f = -1.0
-    best_theta: Array | None = None
+    best_f, best_theta = -1.0, np.empty_like(model.theta)
 
     train_ids = [(s, tag_ids(t)) for s, t in split.train]
     for epoch in range(cfg.epochs):
@@ -549,6 +569,7 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
             else:
                 batch += G
                 batch_n += 1
+            del G  # now batch's to keep or free, not alive through the next loss
             if batch_n >= cfg.batch_size:
                 _apply(model, opt, batch, batch_n, cfg.grad_clip)
                 batch, batch_n = None, 0
@@ -564,9 +585,9 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
             progress(rec)
         if dev_f > best_f:
             best_f = dev_f
-            best_theta = model.theta.copy()
-    if best_theta is not None:
-        model.theta[...] = best_theta
+            np.copyto(best_theta, model.theta)
+    if best_f > -1.0:  # some epoch's dev F was a number
+        np.copyto(model.theta, best_theta)
     return log
 
 

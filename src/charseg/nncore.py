@@ -11,9 +11,9 @@ vector laid out like its parameters.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -146,18 +146,20 @@ BLOCK_ROWS = 256
 
 
 def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[int] | None,
-                 buffers: dict | None = None) -> tuple[list[Array], list[LstmCache]]:
+                 buffers: dict | None = None, out: list[Array] | None = None) -> tuple[list[Array], list[LstmCache]]:
     """lstm_forward of dirs[0] over X and of dirs[1], if given, over X reversed.
-    Inference fills a copy of W.T, the i, f and o columns halved, into a
-    buffer it keeps in buffers by shape, so later passes allocate none. It
-    takes the gate inputs X @ U.T + b, scaled, one chunk of whole packed
-    steps at a time (BLOCK_ROWS rows, or one step that holds more), from
-    that chunk's rows of X alone: its memory beyond X and H does not grow
-    with the pass."""
+    Inference fills a copy of W.T, the i, f and o columns halved, into one
+    buffer it keeps in buffers, as large as the largest pass's, so later
+    passes allocate none. It takes the gate inputs X @ U.T + b, scaled, one
+    chunk of whole packed steps at a time (BLOCK_ROWS rows, or one step
+    that holds more), from that chunk's rows of X alone, and writes each
+    step's states straight to their rows of out[d], an (N, h) array (or
+    view) per direction in its input's row order, allocated when not
+    given: its memory beyond X and the outputs does not grow with the pass."""
     N, h, D = X.shape[0], dirs[0].hidden_dim, len(dirs)
     if D == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES:
-        (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths, buffers)
-        (H_b,), caches_b = _lstm_passes(dirs[1:], X[::-1], cache, lengths and lengths[::-1], buffers)
+        (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths, buffers, out and out[:1])
+        (H_b,), caches_b = _lstm_passes(dirs[1:], X[::-1], cache, lengths and lengths[::-1], buffers, out and out[1:])
         return [H_f, H_b], caches_f + caches_b
     if X.ndim != 2 or X.shape[1] != dirs[0].input_dim:
         raise ShapeMismatch(f"lstm_forward: X {X.shape}, expected (L, {dirs[0].input_dim})")
@@ -166,7 +168,7 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
     if packs is not None and (cache or len(packs[0][0]) != N):
         raise ShapeMismatch(f"lstm_forward: lengths {lengths} for {N} rows, cache {cache}")
     sizes = [1] * N if packs is None else packs[0][1]
-    bounds, n_max = np.cumsum([0] + sizes).tolist(), max(sizes, default=1)
+    n_max = max(sizes, default=1)
     b = np.stack([p.b for p in dirs])
     if cache:
         A, first = np.empty((N, D, 4 * h)), 0
@@ -175,18 +177,19 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
                 np.matmul(p.U[k * h : (k + 1) * h], Xs[d][:, :, None], out=A[:, d, k * h : (k + 1) * h, None])
     else:  # the i, f and o pre-activations halved (exact), b added once
         s, shift = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]], h, axis=1)
-        key, buffers = (D, h), {} if buffers is None else buffers
-        if key not in buffers:  # (n x h) @ (h x 4h) runs 2-3x faster with W.T contiguous
-            buffers[key] = np.empty((D, h, 4 * h))
-        W_T = buffers[key]
+        buffers = {} if buffers is None else buffers
+        size, flat = D * h * 4 * h, buffers.get("W_T")
+        if flat is None or flat.size < size:  # one buffer that every pass refills
+            flat = buffers["W_T"] = np.empty(size)
+        W_T = flat[:size].reshape(D, h, 4 * h)  # (n x h) @ (h x 4h) runs 2-3x faster with W.T contiguous
         for d, p in enumerate(dirs):
             np.multiply(p.W.T, s, out=W_T[d])
-        A = np.empty((max(min(N, BLOCK_ROWS), n_max), D, 4 * h))
+        A, ends = np.empty((max(min(N, BLOCK_ROWS), n_max), D, 4 * h)), np.cumsum(sizes)  # ends[t]: row after step t
 
         def fill(lo: int, t: int) -> int:
             """Gate inputs of the steps from step t (packed row lo) on into A, from
             only their rows of X; returns the packed row after the chunk."""
-            hi = bounds[max(t + 1, bisect.bisect_right(bounds, lo + BLOCK_ROWS) - 1)]
+            hi = int(ends[max(t, np.searchsorted(ends, lo + BLOCK_ROWS, "right") - 1)])
             for d, p in enumerate(dirs):
                 np.matmul(Xs[d][lo:hi] if packs is None else Xs[d][packs[d][0][lo:hi]], p.U.T, out=A[: hi - lo, d])
             A[: hi - lo] += b
@@ -199,10 +202,10 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
     W = (dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs])) if cache else W_T.transpose(0, 2, 1)
     # training keeps every state (row t enters step t), inference the running ones
     HS, CS = np.zeros((2, N + 1 if cache else n_max, D, h))
-    H = HS[1:] if cache else np.empty((N, D, h))
+    out = None if cache else out or [np.empty((N, h)) for _ in range(D)]
     rec, tanh_g, ig = np.empty((n_max, D, 4 * h)), np.empty((n_max, D, h)), np.empty((n_max, D, h))
     i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
-    for t, (lo, n) in enumerate(zip(bounds, sizes)):
+    for t, (lo, n) in enumerate(zip(itertools.accumulate(sizes, initial=0), sizes)):
         if not cache and lo == hi:
             first, hi = lo, fill(lo, t)
         a = A[lo - first : lo - first + n]
@@ -227,11 +230,11 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         np.tanh(c, out=HS[q])
         HS[q] *= a[..., o]
         if not cache:
-            H[lo : lo + n] = HS[q]
-    for d in range(D if packs else 0):  # packed row r back to row order[r]
-        H[packs[d][0], d] = H[:, d].copy()
+            for d in range(D):  # packed row r is row order[r]
+                out[d][slice(lo, lo + n) if packs is None else packs[d][0][lo : lo + n]] = HS[q, d]
+    H = HS[1:]  # training's states
     caches = [LstmCache(Xs[d], A[:, d], HS[:-1, d], CS[:-1, d], H[:, d], CS[1:, d]) for d in range(D if cache else 0)]
-    return [H[:, d] for d in range(D)], caches
+    return out or [H[:, d] for d in range(D)], caches
 
 
 def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmParams) -> Array:
@@ -296,11 +299,18 @@ class BiLstmCache:
 def bilstm_forward(fwd: LstmParams, bwd: LstmParams, X: Array, cache: bool = True,
                    lengths: list[int] | None = None, buffers: dict | None = None) -> tuple[Array, BiLstmCache | None]:
     """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t];
-    with lengths (inference), over each of the sequences X holds."""
+    with lengths (inference), over each of the sequences X holds. Inference
+    allocates the (N, 2h) output once and each direction's steps write
+    their states into its half, the backward's as rows of Y[::-1]."""
     if X.shape[0] < 1:
         raise ShapeMismatch("bilstm_forward: empty sequence")
-    (H_f, H_b_rev), caches = _lstm_passes([fwd, bwd], X, cache, lengths, buffers)
-    return np.hstack([H_f, H_b_rev[::-1]]), BiLstmCache(*caches) if cache else None
+    if cache:
+        (H_f, H_b_rev), caches = _lstm_passes([fwd, bwd], X, cache, lengths, buffers)
+        return np.hstack([H_f, H_b_rev[::-1]]), BiLstmCache(*caches)
+    h = fwd.hidden_dim
+    Y = np.empty((X.shape[0], 2 * h))
+    _lstm_passes([fwd, bwd], X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]])
+    return Y, None
 
 
 def bilstm_backward(

@@ -8,7 +8,10 @@ that ``nncore.sigmoid`` must match bit for bit;
 does not depend on the recurrence left their step loops (one direction
 per loop, a product with U per forward step, four products with W and
 some 30 elementwise calls per backward step, one pair marginal per CRF
-step): the bits the package's kernels must keep;
+step), and ``viterbi_decode_stepwise`` the decoder as it was before its
+steps worked in place (fresh arrays per step, each step's maxima picked
+by fancy indexing at the argmax): the bits the package's kernels must
+keep;
 ``tags_are_valid`` checks a tag string against the boundary grammar and
 ``tags_match_whitespace`` its X tags against a text's whitespace;
 ``extract_ngrams`` lists a token's sliding n-gram windows;
@@ -25,7 +28,9 @@ as they were before the composer read its input from the feature matrix
 (composer inputs gathered again from each occurrence's n-gram ids, one
 composer pass per occurrence, a second scatter loop for the composer's
 input gradients): the bits the package's feature pass must keep;
-``lookup`` reads an n-gram's id; ``parse_report`` reads a JSON-lines
+``head_from_batch_products`` is the inference forward with every
+product of the head taken over the whole batch, the bits
+``Model.batch_emissions`` must keep; ``lookup`` reads an n-gram's id; ``parse_report`` reads a JSON-lines
 evaluation report back;
 ``uniform_init``, ``lstm_init``, ``dense_init``, ``attention_init``,
 ``crf_init`` and ``embedder_init`` build fresh parameter containers, each
@@ -55,7 +60,7 @@ from charseg.errors import (CharsegError, GoldPathForbidden, LengthMismatch, NoA
                             UninitializedEmbedder)
 from charseg.metrics import PRF, MetricsReport, TagCounts
 from charseg.model import GATES, VARIANTS, ModelConfig
-from charseg.nncore import (AttentionParams, BiLstmCache, DenseParams, LstmCache, LstmParams, _packing,
+from charseg.nncore import (BLOCK_ROWS, AttentionParams, BiLstmCache, DenseParams, LstmCache, LstmParams, _packing,
                             bilstm_backward, bilstm_forward, logsumexp, softmax, zeros_like)
 from charseg.subword import (FILLER, MEMO_TOKENS, PAD_ID, SPACE_ID, UNK_ID, NgramVocab, SubwordEmbedder, TokenMemo,
                              _token_ids, char_features_cached)
@@ -361,6 +366,50 @@ def nll_loss_stepwise(
 
     loss = log_z - float(gold_score)
     return loss, CrfGrads(emissions=d_emissions, transitions=d_trans, start=d_start)
+
+
+def head_from_batch_products(model, texts: list[str]) -> list[Array]:
+    """Model.batch_emissions of texts with every product of the head taken
+    over all of the batch's rows, as before Q and K came by text and row
+    block: the bits the inference head must keep."""
+    lengths, memo = [len(t) for t in texts], TokenMemo()
+    cur, _ = char_features_cached(texts, model.vocab, model.embedder, memo)
+    for fwd, bwd in model.encoder:
+        cur, _ = bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers)
+    at, out = model.attn, model.out_proj
+    D = np.tanh(cur @ model.hidden_proj.W + model.hidden_proj.b)
+    E = D @ out.W + out.b
+    Q, K, Vp = D @ at.W_q, D @ at.W_k, D @ (at.W_v @ (at.W_o @ out.W))
+    spans = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths).tolist(), lengths)]
+    for sl in spans:
+        for lo in range(sl.start, sl.stop, BLOCK_ROWS):
+            rows = slice(lo, min(lo + BLOCK_ROWS, sl.stop))
+            E[rows] += attention_weights(Q[rows], K[sl]) @ Vp[sl]
+    return [E[sl] for sl in spans]
+
+
+def viterbi_decode_stepwise(
+    emissions: Array, params: CrfParams, mask: ConstraintMask | None = None
+) -> tuple[np.ndarray, float]:
+    """Highest-scoring tag path via max-product dynamic programming."""
+    emis, start, trans, end = _masked(emissions, params, mask)
+    L, K = emis.shape
+    delta = start + emis[0]
+    backptr = np.zeros((L, K), dtype=np.int64)
+    for t in range(1, L):
+        cand = delta[:, None] + trans              # (prev, next)
+        backptr[t] = np.argmax(cand, axis=0)       # first max = lowest tag index
+        delta = cand[backptr[t], np.arange(K)] + emis[t]
+    final = delta + end
+    best_last = int(np.argmax(final))
+    best_score = float(final[best_last])
+    if not np.isfinite(best_score):
+        raise NoAllowedPath("constraint mask leaves no complete path")
+    path = np.empty(L, dtype=np.int64)
+    path[L - 1] = best_last
+    for t in range(L - 1, 0, -1):
+        path[t - 1] = backptr[t, path[t]]
+    return path, best_score
 
 
 def uniform_init(rng: np.random.Generator, *shape: int) -> Array:

@@ -205,6 +205,37 @@ def test_segment_emit_tags_readable(trained, tmp_path):
     assert len(pairs[0][1]) == len("ab cd ef gh")
 
 
+def test_segment_emit_tags_streams_write_labeled_bytes(trained, tmp_path):
+    # each line's block is written as it is tagged; the file holds the
+    # bytes write_labeled gives the same pairs (escapes, blank lines)
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd ef\n\n  qq \t a\\b\nx\n" + "ab cd " * 60 + "\n", encoding="utf-8")
+    out, tags_path, ref = tmp_path / "out.txt", tmp_path / "tags.tsv", tmp_path / "ref.tsv"
+    code = main(["segment", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--input", str(inp), "--output", str(out), "--emit-tags", str(tags_path)])
+    assert code == 0
+    pairs = read_labeled(tags_path)
+    assert [s.text for s, _ in pairs] == ["ab cd ef", "qq a\\b", "x", ("ab cd " * 60).strip()]
+    write_labeled(ref, pairs)
+    assert tags_path.read_bytes() == ref.read_bytes()
+
+
+def test_failed_segment_output_leaves_neither_file(trained, tmp_path, monkeypatch):
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd ef\ngh ij\n", encoding="utf-8")
+    out, tags_path = tmp_path / "seg.txt", tmp_path / "tags.tsv"
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return HalfWrite(f) if "w" in mode and Path(file).name.startswith(out.name) else f
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    assert main(["segment", "--checkpoint", str(trained / "checkpoint.bin"), "--input", str(inp),
+                 "--output", str(out), "--emit-tags", str(tags_path)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
+
+
 def edit_checkpoint(src: Path, dst: Path, edit, trailing: bytes = b"") -> None:
     """Copy a checkpoint, letting edit(header) change its JSON header."""
     raw = src.read_bytes()
@@ -359,8 +390,10 @@ def test_segment_and_evaluate_summary_line(trained, prepared, tmp_path, capsys):
                  "--input", str(inp), "--output", str(tmp_path / "out.txt")])
     assert code == 0
     line = json.loads(capsys.readouterr().err.splitlines()[-1])
-    keys = {"sentences", "chars", "seconds", "chars_per_s", "longest_line", "tokens", "composed", "batches"}
+    keys = {"sentences", "chars", "seconds", "chars_per_s", "longest_line", "tokens", "composed", "batches",
+            "max_rss_mb"}
     assert set(line) == keys | {"repairs"}
+    assert line["max_rss_mb"] > 0
     # "ab cd ab" and "qq ab": ab is composed once
     assert (line["sentences"], line["chars"], line["longest_line"]) == (2, 13, 8)
     assert (line["tokens"], line["composed"], line["batches"]) == (5, 3, 1)

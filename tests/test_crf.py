@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charseg.corpus import TAG_TO_ID, ids_to_tags
@@ -22,6 +22,7 @@ from oracles import (
     sequence_score,
     tags_are_valid,
     tags_match_whitespace,
+    viterbi_decode_stepwise,
 )
 
 K = 5
@@ -340,6 +341,27 @@ def test_nll_loss_keeps_stepwise_bits(L, seed, masked):
     for name in ("emissions", "transitions", "start"):
         got, want = getattr(grads, name), getattr(grads_ref, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+@given(L=st.integers(min_value=1, max_value=40), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       masked=st.sampled_from(["none", "random", "grammar"]), tied=st.booleans())
+@example(L=1, seed=0, masked="grammar", tied=True)
+def test_viterbi_keeps_stepwise_bits(L, seed, masked, tied):
+    # steps in place, each maximum taken as a value rather than picked at
+    # the argmax; integer-valued scores tie exactly, and both break ties
+    # at the lowest tag index
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.integers(-2, 3, size=shape).astype(float) if tied else rng.normal(size=shape) * 3
+
+    emissions, params = draw(L, K), CrfParams(transitions=draw(K, K), start=draw(K))
+    mask = {"none": lambda: None, "random": lambda: random_mask(rng, L),
+            "grammar": lambda: grammar_mask(rng.random(L) < 0.3)}[masked]()
+    path, score = viterbi_decode(emissions, params, mask)
+    path_ref, score_ref = viterbi_decode_stepwise(emissions, params, mask)
+    assert path.dtype == path_ref.dtype and path.tobytes() == path_ref.tobytes()
+    assert score.hex() == score_ref.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from charseg.nncore import BLOCK_ROWS
 from charseg.subword import NgramVocab, TokenMemo, build_vocab
 from charseg.synth import make_lexicon, make_sentences, make_split
 
-from oracles import grad_check, reference_parameters, tags_match_whitespace
+from oracles import grad_check, head_from_batch_products, reference_parameters, tags_match_whitespace
 
 V1_DIR = Path(__file__).parent / "data" / "v1_sgnws"
 V1_VOCAB = NgramVocab.load(V1_DIR / "vocab.tsv")
@@ -474,6 +474,32 @@ def test_train_batch_size_two_runs(tiny):
     assert np.isfinite(log[0].train_loss)
 
 
+def test_train_holds_one_gradient_beyond_optimizer_and_snapshot(tiny):
+    # beyond theta: Adamax's m and u, one best-dev buffer refreshed in
+    # place and one gradient, as each sentence's is let go once it is in
+    # the batch; a second gradient or snapshot would pass 5x theta
+    split = make_split(n_train=2, n_dev=2)
+    vocab = build_vocab(s.text for s, _ in split.train)
+    model = Model(ModelConfig(d_emb=64, hidden=200, epochs=2, seed=0), vocab)
+    tracemalloc.start()
+    train(model, split)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4.5 * model.theta.nbytes, (peak / model.theta.nbytes)
+
+
+def test_train_leaves_the_first_best_dev_epoch_parameters(tiny):
+    # the snapshot buffer is refreshed on each strictly better dev F and
+    # copied back into theta at the end
+    split, vocab = tiny
+    model = Model(tiny_config(epochs=6, lr=1.0), vocab)
+    seen = []
+    log = train(model, split, progress=lambda rec: seen.append(model.theta.copy()))
+    best = max(range(len(log)), key=lambda i: log[i].dev_f)
+    assert log[-1].dev_f < log[best].dev_f
+    assert model.theta.tobytes() == seen[best].tobytes()
+
+
 def test_stacked_encoder_grad_check(tiny):
     split, vocab = tiny
     model = Model(tiny_config(variant="sgnws", num_layers=2), vocab)
@@ -626,6 +652,43 @@ def test_predict_many_memory_linear_in_text_length(tiny):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < L * L * 8, (peak, L * L * 8)
+
+
+def paper_size_pair():
+    """A 64/200 model and two texts of about 1,600 characters each."""
+    sentences = [s.text for s, _ in make_split(n_train=200, n_dev=1).train]
+    texts = [" ".join(sentences[:45])[:1600].strip(), " ".join(sentences[45:90])[:1600].strip()]
+    assert all(1590 < len(t) <= 1600 for t in texts)
+    return Model(ModelConfig(d_emb=64, hidden=200, seed=0), build_vocab(sentences)), texts
+
+
+def test_predict_many_pair_peak_is_features_and_one_encoder_output():
+    # the pair runs as one batch: the encoder writes both directions into
+    # one output (no hstack, no reordered copy) and the head keeps one
+    # N x width array, one text's K and one block's Q; what is left above
+    # the features and one encoder output is the chunk buffers
+    model, texts = paper_size_pair()
+    L, cfg = sum(map(len, texts)), model.config
+    feature_width = len(cfg.feature_orders()) * cfg.d_emb + 2 * cfg.d_emb
+    memo = TokenMemo()
+    tracemalloc.start()
+    list(model.predict_many(texts, memo))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert memo.batches == 1
+    assert peak < L * 8 * (feature_width + 2 * cfg.hidden) + 4 * 2**20, peak
+
+
+def test_batch_emissions_keep_the_bits_of_whole_batch_products():
+    # Q and K come by text and by row block, each from a product over at
+    # least BLOCK_ROWS rows: the bits of products over the whole batch,
+    # even for a one-row last block or a text of a few characters (BLAS
+    # takes products of a few rows through another kernel)
+    model, (long_a, long_b) = paper_size_pair()
+    for batch in ([long_a[: BLOCK_ROWS + 1]], [long_a[:5], long_b], [long_a[: 2 * BLOCK_ROWS + 3], long_b[:6]]):
+        got = model.batch_emissions(batch, TokenMemo())
+        want = head_from_batch_products(model, batch)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
 def test_predict_many_after_parameter_write(tiny):

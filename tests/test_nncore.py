@@ -331,6 +331,26 @@ def test_packed_inference_matches_stepwise_gathered_pass(lengths, size, seed, sh
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@given(lengths=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_split_loop_packed_batch_writes_each_row(lengths, seed):
+    # at h=130 each direction has its own step loop, and each step writes
+    # its states straight to their rows of the layer output (the backward
+    # direction's through Y[::-1]): the bits of the shared loop, and each
+    # sequence's rows match its own pass
+    d_in, hidden = 6, 130
+    rng = np.random.default_rng(seed)
+    fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
+    assert 2 * fwd.W.nbytes > nncore.STACK_BYTES
+    X = rng.normal(size=(sum(lengths), d_in))
+    Y, _ = bilstm_forward(fwd, bwd, X, False, lengths)
+    with stack_bytes(2 * fwd.W.nbytes):
+        assert same_bits(Y, bilstm_forward(fwd, bwd, X, False, lengths)[0])
+    for hi, n in zip(np.cumsum(lengths), lengths):
+        ref, _ = bilstm_forward(fwd, bwd, X[hi - n : hi], False)
+        assert np.max(np.abs(Y[hi - n : hi] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_bilstm_backward_grad_check(rng):
     fwd = random_lstm(3, 2, rng)
     bwd = random_lstm(3, 2, rng)
