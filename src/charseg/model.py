@@ -55,8 +55,6 @@ from .nncore import (
     dense_backward,
     dense_forward,
     log_softmax,
-    lstm_backward,
-    lstm_forward,
     self_attention,
     self_attention_backward,
     softmax,
@@ -337,7 +335,7 @@ class Model:
         enc_caches = []
         cur = X
         for fwd, bwd in self.encoder:
-            cur, cache = lstm_forward(fwd, cur) if bwd is None else bilstm_forward(fwd, bwd, cur)
+            cur, cache = bilstm_forward(fwd, bwd, cur)
             enc_caches.append(cache)
         cur, mask_out = variational_dropout(cur, drop, mode, rng)
         D, dense_cache = dense_forward(self.hidden_proj, cur, activation="tanh")
@@ -366,8 +364,7 @@ class Model:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
             cur, _ = char_features_cached(texts, self.vocab, self.embedder, memo)
             for fwd, bwd in self.encoder:
-                cur, _ = (lstm_forward(fwd, cur, False, lengths, memo.buffers) if bwd is None
-                          else bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers))
+                cur, _ = bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers)
             D = cur @ self.hidden_proj.W
             del cur
             D += self.hidden_proj.b
@@ -399,12 +396,8 @@ class Model:
         dY = dense_backward(self.hidden_proj, cache.dense_cache, dZ, grads.hidden_proj)
         if cache.mask_out is not None:
             dY = dY * cache.mask_out
-        for i in range(len(self.encoder) - 1, -1, -1):
-            (fwd, bwd), (g_f, g_b) = self.encoder[i], grads.encoder[i]
-            if bwd is None:
-                dY = lstm_backward(fwd, cache.enc_caches[i], dY, g_f)
-            else:
-                dY = bilstm_backward(fwd, bwd, cache.enc_caches[i], dY, g_f, g_b)
+        for (fwd, bwd), (g_f, g_b), enc in reversed(list(zip(self.encoder, grads.encoder, cache.enc_caches))):
+            dY = bilstm_backward(fwd, bwd, enc, dY, g_f, g_b)
         if cache.mask_in is not None:
             dY = dY * cache.mask_in
         char_features_backward(cache.feat, dY, self.embedder, grads.embedder)
@@ -418,30 +411,30 @@ class Model:
         """
         if len(text) != len(gold):
             raise LengthMismatch(f"{len(text)} characters vs {len(gold)} tags")
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below or in clipping
             E, cache = self.emissions(text, mode=mode, seed=seed)
-        if not np.isfinite(E).all():
-            raise NonFiniteEmissions(f"emission scores of a {len(text)}-character sentence are not all finite")
-        # backprop writes every view whole but those it adds into and the frozen start
-        G = np.empty_like(self.theta)
-        for name, (sl, _) in self.layout.items():
-            if name.startswith(("emb.", "composer.")) or name == "crf.start":
-                G[sl] = 0.0
-        grads = self._bind(G)
-        if self.crf is not None:
-            value, cg = crf_mod.nll_loss(E, gold, self.crf)
-            self._backward(cache, cg.emissions, grads)
-            grads.crf.transitions[...] = cg.transitions
-            if self.config.use_start_scores:
-                grads.crf.start[...] = cg.start
-        else:
-            L = len(text)
-            logp = log_softmax(E, axis=-1)
-            value = float(-np.mean(logp[np.arange(L), gold]))
-            dE = softmax(E, axis=-1)
-            dE[np.arange(L), gold] -= 1.0
-            dE /= L
-            self._backward(cache, dE, grads)
+            if not np.isfinite(E).all():
+                raise NonFiniteEmissions(f"emission scores of a {len(text)}-character sentence are not all finite")
+            # backprop writes every view whole but the tables, a tokenless text's composer, the frozen start
+            G = np.empty_like(self.theta)
+            for name, (sl, _) in self.layout.items():
+                if name.startswith(("emb.", "composer.")) or name == "crf.start":
+                    G[sl] = 0.0
+            grads = self._bind(G)
+            if self.crf is not None:
+                value, cg = crf_mod.nll_loss(E, gold, self.crf)
+                self._backward(cache, cg.emissions, grads)
+                grads.crf.transitions[...] = cg.transitions
+                if self.config.use_start_scores:
+                    grads.crf.start[...] = cg.start
+            else:
+                L = len(text)
+                logp = log_softmax(E, axis=-1)
+                value = float(-np.mean(logp[np.arange(L), gold]))
+                dE = softmax(E, axis=-1)
+                dE[np.arange(L), gold] -= 1.0
+                dE /= L
+                self._backward(cache, dE, grads)
         return value, G
 
     # -- inference --------------------------------------------------------------

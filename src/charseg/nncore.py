@@ -11,18 +11,14 @@ vector laid out like its parameters.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import TypeVar
 
 import numpy as np
 
 from .errors import BadRate, NonFiniteGradient, ShapeMismatch
 
 Array = np.ndarray
-P = TypeVar("P")
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +56,6 @@ def log_softmax(x: Array, axis: int = -1) -> Array:
     return x - np.expand_dims(logsumexp(x, axis=axis), axis)
 
 
-def zeros_like(params: P) -> P:
-    """A container of params' class holding zero arrays of the same shapes."""
-    return type(params)(**{f.name: np.zeros_like(getattr(params, f.name)) for f in dataclasses.fields(params)})
-
-
 # ---------------------------------------------------------------------------
 # LSTM cell and sequence
 # ---------------------------------------------------------------------------
@@ -94,23 +85,26 @@ class LstmParams:
 
 @dataclass
 class LstmCache:
-    X: Array        # (L, d) inputs
-    A: Array        # (L, 4h) gate activations i, f, g, o side by side
-    H_prev: Array   # (L, h) hidden state entering each step
-    C_prev: Array   # (L, h) cell state entering each step
-    H: Array        # (L, h) hidden state after each step
-    C: Array        # (L, h) cell state after each step
+    """A cached pass: rows in packed order (see _packing), but X's in input order."""
+
+    X: Array        # (N, d) inputs
+    A: Array        # (N, 4h) gate activations i, f, g, o side by side
+    H_prev: Array   # (N, h) hidden state entering each row's step
+    C_prev: Array   # (N, h) cell state entering each row's step
+    C: Array        # (N, h) cell state after each row's step
+    order: Array    # (N,) input row of each packed row
+    sizes: Array    # rows of each step
 
 
-def _packing(lengths) -> tuple[Array, list[int]]:
+def _packing(lengths) -> tuple[Array, Array]:
     """Time-major order of sequences stored one after another: packed row
     r is flat row order[r], and step t covers sizes[t] rows, longest
     sequences first, so the sequences still running are a prefix."""
     lengths = np.asarray(lengths)
     by_len = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[by_len]
-    sizes = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0).tolist()
-    return np.concatenate([starts[:n] + t for t, n in enumerate(sizes)]), sizes
+    running = np.arange(lengths.max(initial=0))[:, None] < lengths[by_len]  # step t runs by_len[j]
+    order = ((np.cumsum(lengths) - lengths)[by_len] + np.arange(len(running))[:, None])[running]
+    return order, running.sum(axis=1)
 
 
 def lstm_forward(params: LstmParams, X: Array, cache: bool = True, lengths: list[int] | None = None,
@@ -126,12 +120,11 @@ def lstm_forward(params: LstmParams, X: Array, cache: bool = True, lengths: list
     hidden       h' = o * tanh(c')
 
     with W_i the first h rows of W and so on; a step adds W h, U x and b
-    in this order. The products U x come first: in training one GEMV per
-    gate block and row (the bits of U x per step), in inference (cache
-    False) X @ U.T GEMMs, which may round differently. Inference may
-    pass lengths of sequences X holds one after another, run together
-    time-major (see _packing); H comes back in X's row order. It takes each
-    sigmoid as 1/2 + tanh(z/2)/2, one tanh per step (see _lstm_passes)."""
+    in this order. X holds sequences of the given lengths (one by default)
+    one after another; they run together time-major (see _packing), and H
+    comes back in X's row order. Training (cache True) takes every product
+    as one GEMV per row. Inference (cache False) takes the GEMMs and the
+    tanh-form gates of _lstm_passes, which may round differently."""
     (H,), caches = _lstm_passes([params], X, cache, lengths, buffers)
     return H, caches[0] if cache else None
 
@@ -147,34 +140,34 @@ BLOCK_ROWS = 256
 
 def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[int] | None,
                  buffers: dict | None = None, out: list[Array] | None = None) -> tuple[list[Array], list[LstmCache]]:
-    """lstm_forward of dirs[0] over X and of dirs[1], if given, over X reversed.
-    Inference fills a copy of W.T, the i, f and o columns halved, into one
-    buffer it keeps in buffers, as large as the largest pass's, so later
-    passes allocate none. It takes the gate inputs X @ U.T + b, scaled, one
-    chunk of whole packed steps at a time (BLOCK_ROWS rows, or one step
-    that holds more), from that chunk's rows of X alone, and writes each
-    step's states straight to their rows of out[d], an (N, h) array (or
-    view) per direction in its input's row order, allocated when not
-    given: its memory beyond X and the outputs does not grow with the pass."""
+    """lstm_forward of dirs[0] over X and of dirs[1], if given, over X reversed,
+    each writing its states to out[d], an (N, h) array (or view) in its
+    input's row order. Training keeps every state: the first step's zero
+    states, then each step's rows after the last step's. Inference keeps
+    the running ones, takes each sigmoid as 1/2 + tanh(z/2)/2, fills a copy
+    of W.T, the i, f and o columns halved, into one buffer kept in buffers,
+    and takes the gate inputs X @ U.T + b, scaled, one chunk of whole steps
+    at a time (BLOCK_ROWS rows, or one step that holds more), from that
+    chunk's rows of X alone: its memory beyond X and out does not grow."""
     N, h, D = X.shape[0], dirs[0].hidden_dim, len(dirs)
+    lengths = [N] if lengths is None else lengths
     if D == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES:
         (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths, buffers, out and out[:1])
-        (H_b,), caches_b = _lstm_passes(dirs[1:], X[::-1], cache, lengths and lengths[::-1], buffers, out and out[1:])
+        (H_b,), caches_b = _lstm_passes(dirs[1:], X[::-1], cache, lengths[::-1], buffers, out and out[1:])
         return [H_f, H_b], caches_f + caches_b
-    if X.ndim != 2 or X.shape[1] != dirs[0].input_dim:
-        raise ShapeMismatch(f"lstm_forward: X {X.shape}, expected (L, {dirs[0].input_dim})")
+    if X.ndim != 2 or X.shape[1] != dirs[0].input_dim or sum(lengths) != N:
+        raise ShapeMismatch(f"lstm_forward: X {X.shape} for lengths {lengths} and input width {dirs[0].input_dim}")
     Xs = [X, X[::-1]][:D]
-    packs = None if lengths is None or len(lengths) < 2 else [_packing(lengths), _packing(lengths[::-1])][:D]
-    if packs is not None and (cache or len(packs[0][0]) != N):
-        raise ShapeMismatch(f"lstm_forward: lengths {lengths} for {N} rows, cache {cache}")
-    sizes = [1] * N if packs is None else packs[0][1]
-    n_max = max(sizes, default=1)
+    packs = [_packing(ls) for ls in (lengths, lengths[::-1])[:D]]  # the same sizes
+    sizes = packs[0][1].tolist()
+    n_max = max(sizes, default=1)  # the number of sequences
     b = np.stack([p.b for p in dirs])
     if cache:
         A, first = np.empty((N, D, 4 * h)), 0
-        for d, p in enumerate(dirs):  # an h-row block of U stays in cache across the rows
+        for d, (p, (order, _)) in enumerate(zip(dirs, packs)):
+            x = Xs[d][order, :, None]  # packed rows; an h-row block of U stays in cache across them
             for k in range(4):
-                np.matmul(p.U[k * h : (k + 1) * h], Xs[d][:, :, None], out=A[:, d, k * h : (k + 1) * h, None])
+                np.matmul(p.U[k * h : (k + 1) * h], x, out=A[:, d, k * h : (k + 1) * h, None])
     else:  # the i, f and o pre-activations halved (exact), b added once
         s, shift = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]], h, axis=1)
         buffers = {} if buffers is None else buffers
@@ -191,7 +184,7 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
             only their rows of X; returns the packed row after the chunk."""
             hi = int(ends[max(t, np.searchsorted(ends, lo + BLOCK_ROWS, "right") - 1)])
             for d, p in enumerate(dirs):
-                np.matmul(Xs[d][lo:hi] if packs is None else Xs[d][packs[d][0][lo:hi]], p.U.T, out=A[: hi - lo, d])
+                np.matmul(Xs[d][packs[d][0][lo:hi]], p.U.T, out=A[: hi - lo, d])
             A[: hi - lo] += b
             A[: hi - lo] *= s
             return hi
@@ -200,19 +193,20 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         # gathered rows of X before the states below are allocated
         first, hi = 0, fill(0, 0) if N else 0
     W = (dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs])) if cache else W_T.transpose(0, 2, 1)
-    # training keeps every state (row t enters step t), inference the running ones
-    HS, CS = np.zeros((2, N + 1 if cache else n_max, D, h))
-    out = None if cache else out or [np.empty((N, h)) for _ in range(D)]
+    HS, CS = np.zeros((2, N + n_max if cache else n_max, D, h))
+    out = out or [np.empty((N, h)) for _ in range(D)]
     rec, tanh_g, ig = np.empty((n_max, D, 4 * h)), np.empty((n_max, D, h)), np.empty((n_max, D, h))
     i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
-    for t, (lo, n) in enumerate(zip(itertools.accumulate(sizes, initial=0), sizes)):
+    enter = [n_max, *sizes][:-1]  # step t's n rows enter from the first n of the m rows before
+    for t, (lo, n, m) in enumerate(zip(itertools.accumulate(sizes, initial=0), sizes, enter)):
         if not cache and lo == hi:
             first, hi = lo, fill(lo, t)
         a = A[lo - first : lo - first + n]
-        p, q = (slice(lo, lo + 1), slice(lo + 1, lo + 2)) if cache else (slice(0, n), slice(0, n))
+        e = lo + n_max  # in training, the row of the step's first state
+        p, q = (slice(e - m, e - m + n), slice(e, e + n)) if cache else (slice(0, n), slice(0, n))
         r, tg, c = rec[:n], tanh_g[:n], CS[q]
-        if n == 1:
-            np.matmul(W, HS[p.start, :, :, None], out=r[0, :, :, None])
+        if cache or n == 1:  # a GEMV per row and direction
+            np.matmul(W, HS[p, :, :, None], out=r[..., None])
         else:
             np.matmul(HS[p].transpose(1, 0, 2), W_T, out=r.transpose(1, 0, 2))
         a += r
@@ -231,58 +225,81 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         HS[q] *= a[..., o]
         if not cache:
             for d in range(D):  # packed row r is row order[r]
-                out[d][slice(lo, lo + n) if packs is None else packs[d][0][lo : lo + n]] = HS[q, d]
-    H = HS[1:]  # training's states
-    caches = [LstmCache(Xs[d], A[:, d], HS[:-1, d], CS[:-1, d], H[:, d], CS[1:, d]) for d in range(D if cache else 0)]
-    return out or [H[:, d] for d in range(D)], caches
+                out[d][packs[d][0][lo : lo + n]] = HS[q, d]
+    # in training, the state each row enters from: the row n_max before its own while every step holds n_max
+    prev = slice(0, N) if sizes[-1] == n_max else np.arange(N) + n_max - np.repeat(enter, sizes)
+    for d, (order, _) in enumerate(packs if cache else []):
+        out[d][order] = HS[n_max:, d]
+    return out, [LstmCache(Xs[d], A[:, d], HS[prev, d], CS[prev, d], CS[n_max:, d], order, sizes)
+                 for d, (order, sizes) in enumerate(packs if cache else [])]
 
 
 def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmParams) -> Array:
-    """Backprop through lstm_forward, dH holding the gradients on its hidden
-    states: writes the weight gradients into grads, returns the input's."""
-    return _lstm_backprop([params], [cache], dH[:, None], [grads])[0]
+    """Backprop through lstm_forward, over the sequences it ran, dH holding
+    the hidden states' gradients: writes the weights' into grads, returns X's."""
+    return _lstm_backprop([params], [cache], dH[cache.order, None], [grads])[0]
 
 
-def _lstm_backprop(dirs: list[LstmParams], caches: list[LstmCache], dH: Array,
-                   grads: list[LstmParams]) -> list[Array]:
-    """lstm_backward of each of _lstm_passes' directions, dH (L, directions, h)."""
-    D, (L, h) = len(dirs), caches[0].H.shape
-    if D == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES:
-        return [_lstm_backprop([p], [c], dH[:, k : k + 1], [g])[0]
-                for k, (p, c, g) in enumerate(zip(dirs, caches, grads))]
-    A = np.stack([c.A for c in caches], axis=1).reshape(L, D, 4, h)  # gates i, f, g, o
-    tanh_C = np.tanh(np.stack([c.C for c in caches], axis=1))
-    dtanh_C = 1.0 - tanh_C * tanh_C
-    # step t's gate gradients are ((S * P[t]) * Q[t]) * R[t] with S = [dc,
-    # dc, dc, dh]: each gate's product taken left to right, 1.0 exact for g
-    P = np.stack([A[:, :, 2], np.stack([c.C_prev for c in caches], axis=1), A[:, :, 0], tanh_C], axis=2)
-    Q, R = A, 1.0 - A
-    R[:, :, 2] = 1.0 - A[:, :, 2] * A[:, :, 2]
-    Q[:, :, 2] = 1.0
-    # one product per gate, summed in gate order (one for all rounds differently)
-    W_T = (dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs])).reshape(D, 4, h, h).transpose(0, 1, 3, 2)
-    dP, S, WdP = np.empty((L, D, 4, h)), np.empty((D, 4, h)), np.empty((D, 4, h, 1))
-    carry_dh, carry_dc = np.zeros((2, D, h))
-    for t in range(L - 1, -1, -1):
-        dh, dc = S[:, 3], S[:, 0]
-        np.add(dH[t], carry_dh, out=dh)
-        np.multiply(dh, Q[t, :, 3], out=dc)
-        dc *= dtanh_C[t]
-        dc += carry_dc
-        S[:, 1:3] = dc[:, None]
-        d = np.multiply(S, P[t], out=dP[t])
-        d *= Q[t]
-        d *= R[t]
-        np.matmul(W_T, d[..., None], out=WdP)
-        WdP.sum(axis=1, out=carry_dh[..., None])
-        np.multiply(dc, Q[t, :, 1], out=carry_dc)
+def _lstm_backprop(dirs: list[LstmParams], caches: list[LstmCache], dH: Array, grads: list[LstmParams]) -> list[Array]:
+    """lstm_backward of each of _lstm_passes' directions, dH (N, directions,
+    h) in packed order. The steps run packed; then each sequence takes its
+    own gradients, the weights' added in X's order."""
+    N, h = caches[0].C.shape
+    sizes = caches[0].sizes.tolist()
+    steps = list(zip(itertools.accumulate(sizes, initial=0), sizes))[::-1]
+    bounds = list(itertools.pairwise([*np.sort(caches[0].order[: sizes[0]]).tolist(), N]))  # sequences' rows in X
     dXs = []
-    for k, (p, c, g) in enumerate(zip(dirs, caches, grads)):
-        dPk = dP[:, k].reshape(L, 4 * h)
-        np.matmul(dPk.T, c.H_prev, out=g.W)
-        np.matmul(dPk.T, c.X, out=g.U)
-        np.sum(dPk, axis=0, out=g.b)
-        dXs.append(functools.reduce(np.add, (dPk[:, j * h : (j + 1) * h] @ p.U[j * h : (j + 1) * h] for j in range(4))))
+    for ds in [slice(0, 1), slice(1, 2)] if len(dirs) == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES else [slice(0, 2)]:
+        cs, W = caches[ds], [p.W for p in dirs[ds]]
+        D = len(cs)
+        A = np.stack([c.A for c in cs], axis=1).reshape(N, D, 4, h)  # gates i, f, g, o
+        tanh_C = np.tanh(np.stack([c.C for c in cs], axis=1))
+        dtanh_C = 1.0 - tanh_C * tanh_C
+        # step t's gate gradients are ((S * P[t]) * Q[t]) * R[t] with S = [dc,
+        # dc, dc, dh]: each gate's product taken left to right, 1.0 exact for g
+        P = np.stack([A[:, :, 2], np.stack([c.C_prev for c in cs], axis=1), A[:, :, 0], tanh_C], axis=2)
+        Q, R = A, 1.0 - A
+        R[:, :, 2] = 1.0 - A[:, :, 2] * A[:, :, 2]
+        Q[:, :, 2] = 1.0
+        # one product per gate and row, summed in gate order (one for all rounds differently)
+        W_T = (W[0][None] if D == 1 else np.stack(W)).reshape(D, 4, h, h).transpose(0, 1, 3, 2)
+        dP, dH_ = np.empty((N, D, 4, h)), dH[:, ds]
+        S, WdP = np.empty((sizes[0], D, 4, h)), np.empty((sizes[0], D, 4, h, 1))
+        carry_dh, carry_dc = np.zeros((2, sizes[0], D, h))  # rows past a step's stay zero before it
+        m = 0
+        for lo, n in steps:
+            if n != m:  # views of the buffers' first n rows, kept while the steps hold n rows
+                s, c_dh, c_dc, w, m = S[:n], carry_dh[:n], carry_dc[:n], WdP[:n], n
+                dh, dc, dcs, c_dhs = s[:, :, 3], s[:, :, 0], s[:, :, 0, None], c_dh[..., None]
+            t = slice(lo, lo + n)
+            q = Q[t]
+            np.add(dH_[t], c_dh, out=dh)
+            np.multiply(dh, q[:, :, 3], out=dc)
+            dc *= dtanh_C[t]
+            dc += c_dc
+            s[:, :, 1:3] = dcs
+            d = np.multiply(s, P[t], out=dP[t])
+            d *= q
+            d *= R[t]
+            np.matmul(W_T, d[..., None], out=w)
+            w.sum(axis=2, out=c_dhs)
+            np.multiply(dc, q[:, :, 1], out=c_dc)
+        del A, Q, R, P, q, tanh_C, dtanh_C  # the gradients read dP only
+        for j, (p, c, g) in enumerate(zip(dirs[ds], cs, grads[ds])):
+            flat = np.argsort(c.order)  # the packed row of each input row
+            dPk, H_prev, dX = dP[flat, j].reshape(N, 4 * h), c.H_prev[flat], np.empty((N, p.input_dim))
+            for seq, (lo, hi) in enumerate(bounds):  # direction 1 holds them reversed
+                rows = slice(lo, hi) if ds.start + j == 0 else slice(N - hi, N - lo)
+                dPs, out = dPk[rows], [None] * 3 if seq else [g.W, g.U, g.b]
+                parts = (np.matmul(dPs.T, H_prev[rows], out=out[0]), np.matmul(dPs.T, c.X[rows], out=out[1]),
+                         np.sum(dPs, axis=0, out=out[2]))
+                for total, part in zip((g.W, g.U, g.b), parts if seq else ()):  # the first's are written
+                    total += part
+                np.matmul(dPs[:, :h], p.U[:h], out=dX[rows])  # the gate blocks' products added in order
+                for k in range(1, 4):
+                    dX[rows] += dPs[:, k * h : (k + 1) * h] @ p.U[k * h : (k + 1) * h]
+            dXs.append(dX)
+        del dP, dPk, H_prev  # a split pass holds one direction's arrays at a time
     return dXs
 
 
@@ -293,32 +310,28 @@ def _lstm_backprop(dirs: list[LstmParams], caches: list[LstmCache], dH: Array,
 @dataclass
 class BiLstmCache:
     fwd: LstmCache
-    bwd: LstmCache  # computed over the reversed sequence
+    bwd: LstmCache | None = None  # computed over the reversed sequence
 
 
-def bilstm_forward(fwd: LstmParams, bwd: LstmParams, X: Array, cache: bool = True,
+def bilstm_forward(fwd: LstmParams, bwd: LstmParams | None, X: Array, cache: bool = True,
                    lengths: list[int] | None = None, buffers: dict | None = None) -> tuple[Array, BiLstmCache | None]:
-    """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t];
-    with lengths (inference), over each of the sequences X holds. Inference
-    allocates the (N, 2h) output once and each direction's steps write
-    their states into its half, the backward's as rows of Y[::-1]."""
-    if X.shape[0] < 1:
-        raise ShapeMismatch("bilstm_forward: empty sequence")
-    if cache:
-        (H_f, H_b_rev), caches = _lstm_passes([fwd, bwd], X, cache, lengths, buffers)
-        return np.hstack([H_f, H_b_rev[::-1]]), BiLstmCache(*caches)
-    h = fwd.hidden_dim
-    Y = np.empty((X.shape[0], 2 * h))
-    _lstm_passes([fwd, bwd], X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]])
-    return Y, None
+    """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t]
+    (h_fwd_t alone without bwd), over the sequences of lengths that X holds
+    (one by default). Each direction writes its states into its half of Y,
+    the backward's as rows of Y[::-1]."""
+    dirs, h = [p for p in (fwd, bwd) if p is not None], fwd.hidden_dim
+    Y = np.empty((X.shape[0], len(dirs) * h))
+    _, caches = _lstm_passes(dirs, X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]][: len(dirs)])
+    return Y, BiLstmCache(*caches) if cache else None
 
 
-def bilstm_backward(
-    fwd: LstmParams, bwd: LstmParams, cache: BiLstmCache, dY: Array, grads_f: LstmParams, grads_b: LstmParams
-) -> Array:
-    dH = np.stack([dY[:, : fwd.hidden_dim], dY[::-1, fwd.hidden_dim :]], axis=1)
-    dX_f, dX_b_rev = _lstm_backprop([fwd, bwd], [cache.fwd, cache.bwd], dH, [grads_f, grads_b])
-    return dX_f + dX_b_rev[::-1]
+def bilstm_backward(fwd: LstmParams, bwd: LstmParams | None, cache: BiLstmCache, dY: Array, grads_f: LstmParams,
+                    grads_b: LstmParams | None) -> Array:
+    """Backprop through bilstm_forward, over the sequences it ran."""
+    h, caches = fwd.hidden_dim, [c for c in (cache.fwd, cache.bwd) if c is not None]
+    dH = np.stack([y[c.order] for y, c in zip((dY[:, :h], dY[::-1, h:]), caches)], axis=1)  # packed
+    dX = _lstm_backprop([p for p in (fwd, bwd) if p is not None], caches, dH, [grads_f, grads_b])
+    return dX[0] + dX[1][::-1] if bwd else dX[0]
 
 
 # ---------------------------------------------------------------------------

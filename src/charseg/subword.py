@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import WHITESPACE, _token_spans, replace_on_success, utf8_lines
 from .errors import BadEscape, BadTag, EmptyCorpus, LengthMismatch, UninitializedEmbedder
-from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward, zeros_like
+from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward
 
 Array = np.ndarray
 
@@ -240,8 +240,8 @@ def _compose(X: Array, lengths: list[int], embedder: SubwordEmbedder, cache: boo
              buffers: dict | None = None) -> tuple[Array, BiLstmCache | None]:
     """Composed vectors of tokens, one row each, from one packed composer
     pass over X, which holds their n-gram rows one token after another
-    (lengths[k] rows for token k); with cache (one token), also its cache
-    for backprop."""
+    (lengths[k] rows for token k); with cache, also the pass's cache for
+    backprop."""
     Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache, lengths, buffers)
     d = embedder.dim
     ends = np.cumsum(lengths)
@@ -266,17 +266,17 @@ class TokenMemo(dict):
 class FeatureCache:
     ids: dict[int, np.ndarray]              # order -> (L,) ids per character row
     spans: list[tuple[int, int]]
-    composers: list[BiLstmCache] | None     # one per span (a token's spans share one), None without composer
+    composer: BiLstmCache | None            # the packed pass over every span, None without one
 
 
 def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
                          memo: TokenMemo | None = None) -> tuple[Array, FeatureCache | None]:
     """Feature matrix (L x feature width) plus the cache for backprop. The
-    composer reads each distinct token's n-gram columns of F at its first
-    span and composes it once; in training one pass per token, whose cache
-    its spans share. With a memo (inference) the cache is None, text may be
-    a list of texts whose rows F holds one after another, and their
-    distinct tokens not in memo are composed in one packed composer pass."""
+    composer reads its input from F's n-gram columns in one packed pass:
+    in training over every span, one sequence each, in inference (with a
+    memo) over the first span of each distinct token the memo lacks. With
+    a memo the cache is None, and text may be a list of texts whose rows F
+    holds one after another."""
     embedder.check_vocab(vocab)
     texts = [text] if isinstance(text, str) else text
     starts = itertools.accumulate((len(t) for t in texts), initial=0)
@@ -295,53 +295,46 @@ def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: Sub
     for n in embedder.orders:
         F[:, col : col + dim] = embedder.tables[n][ids[n]]
         col += dim
-    composers = None
+    composer = None
     if embedder.use_composer:
-        first = dict(zip(tokens[::-1], spans[::-1]))  # each token's first span
         vecs = {t: None if memo is None else memo.get(t) for t in token_ids}  # in order of appearance
         new = [t for t, vec in vecs.items() if vec is None]
-        if memo is None:
-            caches = {}
-            for t in new:
-                a, b = first[t]
-                vecs[t], caches[t] = _compose(F[a:b, :col], [b - a], embedder, cache=True)
-            composers = [caches[t] for t in tokens]
-        elif new:
-            X = np.concatenate([F[a:b, :col] for a, b in map(first.get, new)])
-            vecs.update(zip(new, _compose(X, [len(t) for t in new], embedder, buffers=memo.buffers)[0]))
+        runs = spans if memo is None else list(map(dict(zip(tokens[::-1], spans[::-1])).get, new))
+        if runs:  # all spans in training (a token's compose to the same bits), else each new token's first
+            X = np.concatenate([F[a:b, :col] for a, b in runs])
+            V, composer = _compose(X, [b - a for a, b in runs], embedder, memo is None,
+                                   None if memo is None else memo.buffers)
+            vecs.update(zip(tokens if memo is None else new, V))
+        for (a, b), token in zip(spans, tokens):
+            F[a:b, col:] = vecs[token]
+        if memo is not None:
             if len(memo) + len(new) > MEMO_TOKENS:
                 memo.clear()
             memo.update((t, vecs[t]) for t in new[-MEMO_TOKENS:])
             memo.composed += len(new)
-        for (a, b), token in zip(spans, tokens):
-            F[a:b, col:] = vecs[token]
     if memo is not None:
         memo.tokens += len(spans)
         return F, None
-    return F, FeatureCache(ids=ids, spans=spans, composers=composers)
+    return F, FeatureCache(ids=ids, spans=spans, composer=composer)
 
 
 def char_features_backward(cache: FeatureCache, dF: Array, embedder: SubwordEmbedder, grads: SubwordEmbedder) -> None:
-    """Scatter feature gradients into the embedding tables and composer
-    weights of grads, adding to what they hold. Each table takes one
-    np.add.at: dF's n-gram rows, then each span's composer input gradient."""
+    """Scatter feature gradients into the embedding tables of grads, adding
+    to what they hold, and write the composer's weight gradients, from one
+    packed backward pass over the forward's spans. Each table takes one
+    np.add.at: dF's n-gram rows, then the composer's input gradient."""
     L, dim, width = len(cache.ids[embedder.orders[0]]), embedder.dim, embedder.ngram_width
     if dF.shape != (L, embedder.feature_width):
         raise LengthMismatch(f"feature grad {dF.shape} vs cache ({L}, {embedder.feature_width})")
     rows, d_rows = [np.arange(L)], [dF[:, :width]]
-    if embedder.use_composer:
-        token_f, token_b = zeros_like(embedder.fwd), zeros_like(embedder.bwd)
-        for (a, b), lstm in zip(cache.spans, cache.composers):
+    if cache.composer is not None:
+        dY = np.zeros((len(cache.composer.fwd.X), 2 * dim))  # one row per span character
+        for (a, b), hi in zip(cache.spans, itertools.accumulate(b - a for a, b in cache.spans)):
             d_vec = dF[a:b, width:].sum(axis=0)
-            dY = np.zeros((b - a, 2 * dim))
-            dY[-1, :dim] = d_vec[:dim]
-            dY[0, dim:] = d_vec[dim:]
-            d_rows.append(bilstm_backward(embedder.fwd, embedder.bwd, lstm, dY, token_f, token_b))
+            dY[hi - 1, :dim] = d_vec[:dim]
+            dY[hi - (b - a), dim:] = d_vec[dim:]
             rows.append(np.arange(a, b))
-            for total, token in ((grads.fwd, token_f), (grads.bwd, token_b)):
-                total.W += token.W
-                total.U += token.U
-                total.b += token.b
+        d_rows.append(bilstm_backward(embedder.fwd, embedder.bwd, cache.composer, dY, grads.fwd, grads.bwd))
     rows, d_rows = np.concatenate(rows), np.concatenate(d_rows)
     for k, n in enumerate(embedder.orders):
         np.add.at(grads.tables[n], cache.ids[n][rows], d_rows[:, k * dim : (k + 1) * dim])

@@ -37,6 +37,8 @@ evaluation report back;
 drawing its own arrays; ``reference_parameters`` builds a model's initial
 tensors by running them and naming what they return, the way models were
 built before ``model._draw`` wrote the draws into the parameter vector;
+``zeros_like`` makes a zero parameter container to take gradients;
+``forward_loss`` is ``Model.loss``'s value without the backward pass;
 ``grad_check`` compares analytic
 gradients with central finite differences, tensor by tensor, over dicts
 that ``named`` (one parameter container) or ``Model.views`` (a whole
@@ -61,7 +63,7 @@ from charseg.errors import (CharsegError, GoldPathForbidden, LengthMismatch, NoA
 from charseg.metrics import PRF, MetricsReport, TagCounts
 from charseg.model import GATES, VARIANTS, ModelConfig
 from charseg.nncore import (BLOCK_ROWS, AttentionParams, BiLstmCache, DenseParams, LstmCache, LstmParams, _packing,
-                            bilstm_backward, bilstm_forward, logsumexp, softmax, zeros_like)
+                            bilstm_backward, bilstm_forward, log_softmax, logsumexp, softmax)
 from charseg.subword import (FILLER, MEMO_TOKENS, PAD_ID, SPACE_ID, UNK_ID, NgramVocab, SubwordEmbedder, TokenMemo,
                              _token_ids, char_features_cached)
 
@@ -168,14 +170,15 @@ def lstm_forward_stepwise(params: LstmParams, X: Array, cache: bool = True,
         CS[q] = a[:, f] * CS[p] + a[:, i] * a[:, g]
         HS[q] = H[rows] = a[:, o] * np.tanh(CS[q])
         lo += n
-    return H, LstmCache(X=X, A=A, H_prev=HS[:-1], C_prev=CS[:-1], H=H, C=CS[1:]) if cache else None
+    return H, LstmCache(X=X, A=A, H_prev=HS[:-1], C_prev=CS[:-1], C=CS[1:], order=np.arange(N),
+                        sizes=np.ones(N, dtype=np.int64)) if cache else None
 
 
 def lstm_backward_stepwise(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmParams) -> Array:
     """Backprop through lstm_forward_stepwise; dH holds per-step gradients on the
     emitted hidden states. Writes the weight gradients into grads and
     returns the input gradient."""
-    L, h_dim = cache.H.shape
+    L, h_dim = cache.C.shape
     tanh_C = np.tanh(cache.C)
     blocks = [slice(k * h_dim, (k + 1) * h_dim) for k in range(4)]
     # the recurrent and input products stay one per gate, summed in gate
@@ -624,6 +627,18 @@ def char_features_backward_from_ids(cache: FeatureCacheFromIds, dF: Array, embed
                 c2 += dim
 
 
+def forward_loss(model, text: str, gold: np.ndarray, seed: int) -> float:
+    """Model.loss(text, gold, mode="train", seed=seed)'s value, the same
+    bits, from the forward alone: the emissions, then the CRF's log Z less
+    the gold path's score, or the softmax's mean cross-entropy."""
+    E, _ = model.emissions(text, mode="train", seed=seed)
+    if model.crf is None:
+        return float(-np.mean(log_softmax(E, axis=-1)[np.arange(len(text)), gold]))
+    emis, start, trans, end = _masked(E, model.crf, None)
+    _, log_z = _forward(emis, start, trans, end)
+    return log_z - float(_path_score(emis, gold, start, trans) + end[gold[-1]])
+
+
 def lookup(vocab: NgramVocab, n: int, gram: str) -> int:
     """An n-gram's id, UNK_ID if the vocabulary lacks it."""
     return vocab.maps[n].get(gram, UNK_ID)
@@ -664,6 +679,11 @@ def parse_report(path: str) -> MetricsReport:
     )
 
 
+def zeros_like(params):
+    """A container of params' class holding zero arrays of the same shapes."""
+    return type(params)(**{f.name: np.zeros_like(getattr(params, f.name)) for f in dataclasses.fields(params)})
+
+
 def named(params, prefix: str = "") -> dict[str, Array]:
     """A parameter container's arrays by field name, in field order."""
     return {prefix + f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
@@ -693,17 +713,21 @@ def grad_check(
     step: float = 1e-5,
     tolerance: float = 1e-4,
     seed: int = 0,
+    loss: Callable[[], float] | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_and_grads`` must read the arrays in ``params`` (the checker
-    perturbs them in place) and be deterministic across calls. Coordinates
-    are drawn tensor by tensor in ``params`` order. Relative error uses a
-    floor of 1e-4 in the denominator so finite-difference noise on
-    near-zero coordinates cannot fail the check.
+    perturbs them in place) and be deterministic across calls. ``loss``,
+    if given, returns the same value without the gradient, and the
+    perturbed evaluations call it instead. Coordinates are drawn tensor by
+    tensor in ``params`` order. Relative error uses a floor of 1e-4 in the
+    denominator so finite-difference noise on near-zero coordinates cannot
+    fail the check.
     """
     rng = np.random.default_rng(seed)
     _, analytic = loss_and_grads()
+    loss = loss or (lambda: loss_and_grads()[0])
     max_rel = 0.0
     worst = None
     n_checked = 0
@@ -716,9 +740,9 @@ def grad_check(
         for idx in idxs:
             orig = flat[idx]
             flat[idx] = orig + step
-            loss_plus, _ = loss_and_grads()
+            loss_plus = loss()
             flat[idx] = orig - step
-            loss_minus, _ = loss_and_grads()
+            loss_minus = loss()
             flat[idx] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             a = float(analytic[name].reshape(-1)[idx])

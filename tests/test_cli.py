@@ -146,6 +146,24 @@ def test_train_rejects_nan_learning_rate(prepared, tmp_path, capsys):
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
+def test_diverging_train_prints_only_its_numeric_failure(tmp_path, capsys, recwarn):
+    # a learning rate that blows the parameters up: the non-finite gradient
+    # norm is reported once, as the error line, not as numpy warnings from
+    # the CRF loss and the backward too, and no output is left behind
+    raw = tmp_path / "corpus.txt"
+    raw.write_text("\n".join(make_sentences(make_lexicon(n_words=25, seed=21), 40, seed=22)) + "\n", encoding="utf-8")
+    assert main(["prepare", str(raw), str(tmp_path / "prep"), "--seed", "0"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    code = main(["train", str(tmp_path / "prep"), "--out", str(run),
+                 "--epochs", "3", "--d-emb", "8", "--hidden", "12", "--lr", "1e6"])
+    assert code == 3
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in recwarn]
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: global gradient norm is ") and err.count("\n") == 1, err
+    assert not (run / "checkpoint.bin").exists() and not (run / "epochs.jsonl").exists()
+
+
 def test_unknown_flag_usage_error(tmp_path):
     assert main(["train", str(tmp_path), "--frobnicate"]) == 1
 

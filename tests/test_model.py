@@ -45,7 +45,7 @@ from charseg.nncore import BLOCK_ROWS
 from charseg.subword import NgramVocab, TokenMemo, build_vocab
 from charseg.synth import make_lexicon, make_sentences, make_split
 
-from oracles import grad_check, head_from_batch_products, reference_parameters, tags_match_whitespace
+from oracles import forward_loss, grad_check, head_from_batch_products, reference_parameters, tags_match_whitespace
 
 V1_DIR = Path(__file__).parent / "data" / "v1_sgnws"
 V1_VOCAB = NgramVocab.load(V1_DIR / "vocab.tsv")
@@ -426,7 +426,10 @@ def test_full_model_grad_check_all_variants(tiny):
                     acc += g
             return total, model.views(acc)
 
-        report = grad_check(loss_and_grads, params, n_per_tensor=2, seed=5)
+        def loss():  # the same value, forward only
+            return sum(forward_loss(model, text, gold, 900 + i) for i, (text, gold) in enumerate(data))
+
+        report = grad_check(loss_and_grads, params, n_per_tensor=2, seed=5, loss=loss)
         assert report.passed, f"{variant}: {report}"
 
 
@@ -513,7 +516,8 @@ def test_stacked_encoder_grad_check(tiny):
         v, g = model.loss(data[0][0], data[0][1], mode="train", seed=77)
         return v, model.views(g)
 
-    report = grad_check(loss_and_grads, params, n_per_tensor=2, seed=6)
+    report = grad_check(loss_and_grads, params, n_per_tensor=2, seed=6,
+                        loss=lambda: forward_loss(model, data[0][0], data[0][1], 77))
     assert report.passed, str(report)
 
 

@@ -29,7 +29,6 @@ from charseg.nncore import (
     sigmoid,
     softmax,
     variational_dropout,
-    zeros_like,
 )
 
 from oracles import (
@@ -43,6 +42,7 @@ from oracles import (
     lstm_init,
     named,
     sigmoid_masked,
+    zeros_like,
 )
 
 
@@ -237,26 +237,48 @@ def test_inference_tanh_gates_match_sigmoid():
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_batched_pass_matches_each_sequence(lengths, size, seed):
     # sequences of any lengths in any order, ties included, run as one
-    # packed pass: each one's states match its own training-path pass
+    # packed pass: in inference each one's states match its own
+    # training-path pass, and a cached packed pass equals each sequence's
+    # own cached pass, byte for byte
     d_in, hidden = size
     rng = np.random.default_rng(seed)
     fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
     X = rng.normal(size=(sum(lengths), d_in))
     ends = np.cumsum(lengths)
-    for run in (lambda X, lens=None: lstm_forward(fwd, X, lens is None, lens),
-                lambda X, lens=None: bilstm_forward(fwd, bwd, X, lens is None, lens)):
-        got, cache = run(X, lengths)
+    for run in (lambda X, cache, lens=None: lstm_forward(fwd, X, cache, lens),
+                lambda X, cache, lens=None: bilstm_forward(fwd, bwd, X, cache, lens)):
+        got, cache = run(X, False, lengths)
         assert cache is None and got.shape[0] == X.shape[0]
+        packed, _ = run(X, True, lengths)
         for hi, n in zip(ends, lengths):
-            ref, _ = run(X[hi - n : hi])
+            ref, _ = run(X[hi - n : hi], True)
             assert np.max(np.abs(got[hi - n : hi] - ref)) <= 1e-13 * np.max(np.abs(ref))
-    if len(lengths) > 1:  # a batch keeps no backprop cache
-        with pytest.raises(ShapeMismatch):
-            lstm_forward(fwd, X, True, lengths)
+            assert same_bits(packed[hi - n : hi], ref)
 
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("h", [24, 64, 200])
+@pytest.mark.parametrize("D", [1, 2])
+def test_broadcast_matmul_keeps_per_row_gemv_bits(h, D):
+    # a training step of n rows takes its recurrent product as one matmul of
+    # W (D, 4h, h) broadcast over the rows, and the backward its carry as one
+    # matmul of each gate's W.T block summed over the gates: the pass keeps
+    # each sequence's own bits only while both equal a GEMV per row,
+    # direction and gate, the gates added in order
+    rng = np.random.default_rng(h + D)
+    W = rng.uniform(-0.1, 0.1, (D, 4 * h, h))
+    W_T = W.reshape(D, 4, h, h).transpose(0, 1, 3, 2)
+    for n in (2, 3, 7, 13):
+        H = rng.normal(size=(n, D, h))
+        ref = np.array([[W[k] @ H[r, k] for k in range(D)] for r in range(n)])
+        assert same_bits(np.matmul(W, H[..., None])[..., 0], ref)
+        d = rng.normal(size=(n, D, 4, h))
+        ref = np.array([[((W_T[k, 0] @ d[r, k, 0] + W_T[k, 1] @ d[r, k, 1]) + W_T[k, 2] @ d[r, k, 2])
+                         + W_T[k, 3] @ d[r, k, 3] for k in range(D)] for r in range(n)])
+        assert same_bits(np.matmul(W_T, d[..., None]).sum(axis=2)[..., 0], ref)
 
 
 @contextlib.contextmanager

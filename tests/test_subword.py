@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from charseg import subword
 from charseg.errors import EmptyCorpus, UninitializedEmbedder
-from charseg.nncore import zeros_like
 from charseg.subword import (
     FILLER,
     PAD_ID,
@@ -34,6 +33,7 @@ from oracles import (
     grad_check,
     lookup,
     named,
+    zeros_like,
 )
 
 
@@ -360,19 +360,32 @@ def feature_texts(draw):
     return words[0] + "".join(s + w for s, w in zip(seps, words[1:]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(text=feature_texts(), seed=st.integers(0, 2**16))
-def test_features_and_gradients_match_per_occurrence_reference(text, seed):
-    # F, every table gradient and the composer's weight gradients keep the
-    # bytes of the reference that gathers composer inputs from n-gram ids
-    # per occurrence and scatters their gradients in a second loop
+@st.composite
+def composer_texts(draw):
+    """Tokens over a three-letter alphabet, so that they repeat, of one
+    character up to long ones, run together or spaced by one or two
+    spaces."""
+    tokens = draw(st.lists(st.text(alphabet="abz", min_size=1, max_size=14), min_size=1, max_size=8))
+    seps = draw(st.lists(st.sampled_from(["", " ", "  "]), min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+    return tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=feature_texts() | composer_texts(), dim=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 2**16))
+def test_features_and_gradients_match_per_occurrence_reference(text, dim, seed):
+    # training's one packed composer pass over every span and its one
+    # packed backward keep the bytes of the reference that gathers composer
+    # inputs from n-gram ids, runs one composer pass and one backward per
+    # occurrence and scatters their gradients in a second loop: F, every
+    # table gradient and the composer's weight gradients, also where a
+    # dropped composer column of dF holds signed zeros
     vocab = small_vocab(("ab abc a ba", "cab abc ab"))
-    emb = embedder_init(vocab, dim=3, rng=np.random.default_rng(seed))
+    emb = embedder_init(vocab, dim=dim, rng=np.random.default_rng(seed))
     F, cache = char_features_cached(text, vocab, emb)
     F_ref, cache_ref = char_features_cached_from_ids(text, vocab, emb)
     assert F.tobytes() == F_ref.tobytes()
     rng = np.random.default_rng(seed + 1)
-    dF = rng.normal(size=F.shape)
+    dF = rng.normal(size=F.shape) * (rng.random(F.shape[1]) < 0.75)
     # backward adds to what the tables hold
     grads = dataclasses.replace(emb, tables={n: rng.normal(size=t.shape) for n, t in emb.tables.items()},
                                 fwd=zeros_like(emb.fwd), bwd=zeros_like(emb.bwd))
@@ -403,7 +416,9 @@ def test_memo_features_match_per_occurrence_reference(batches, seed):
         assert all(memo[t].tobytes() == memo_ref[t].tobytes() for t in memo)
 
 
-def test_training_composes_each_distinct_token_once(rng, monkeypatch):
+def test_training_composes_every_span_in_one_call(rng, monkeypatch):
+    # one packed composer pass over all spans, one sequence each; a
+    # token's spans compose to the same bits
     vocab = small_vocab()
     emb = embedder_init(vocab, dim=4, rng=rng)
     compose, calls = subword._compose, []
@@ -414,6 +429,7 @@ def test_training_composes_each_distinct_token_once(rng, monkeypatch):
 
     monkeypatch.setattr(subword, "_compose", counting)
     F, cache = char_features_cached(" ".join(["abc"] * 4), vocab, emb)
-    assert len(calls) == 1
-    assert len(cache.composers) == 4 and all(c is cache.composers[0] for c in cache.composers)
-    np.testing.assert_array_equal(F[4:7], F[:3])
+    assert len(calls) == 1 and calls[0][1] == [3, 3, 3, 3]
+    assert cache.composer.fwd.X.shape == (12, emb.ngram_width)
+    for lo in (4, 8, 12):
+        assert F[lo : lo + 3].tobytes() == F[:3].tobytes()
