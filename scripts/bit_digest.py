@@ -8,7 +8,9 @@ prints one line per case: variant, size (d_emb/hidden) and a sha256 over
 
 - the float64 bits of ``Model.loss`` on fixed sentences, in train mode
   (fixed dropout seeds) and in eval mode;
-- the gradient names (``Model.views``) and the bytes of each gradient;
+- each gradient's name in ``Model.layout`` and the bytes of its slice of
+  the gradient vector, so the digest does not depend on what
+  ``Model.views`` returns;
 - the tag strings ``predict`` returns for those sentences;
 - the per-epoch training losses and the bytes of ``theta`` after
   ``train`` for 2 epochs;
@@ -16,7 +18,8 @@ prints one line per case: variant, size (d_emb/hidden) and a sha256 over
   model. ``load_model`` of each file must return the same ``theta`` bytes,
   or the script stops with an error.
 
-Four cases train on spaced sentences (``synth.make_split``); ``sgnws-fused``
+Five cases train on spaced sentences (``synth.make_split``), one of them
+(``bilstm_crf-frozen``) with the CRF start scores frozen at 0; ``sgnws-fused``
 trains on sentences whose words run together (``synth.make_fused_pairs``,
 a space before about 10% of them), so the token composer runs over long
 tokens.
@@ -71,6 +74,7 @@ VARIANTS = {
     "lstm_softmax": ({"variant": "lstm_softmax"}, "spaced"),
     "sgnws-2layer": ({"num_layers": 2}, "spaced"),
     "sgnws-fused": ({}, "fused"),
+    "bilstm_crf-frozen": ({"variant": "bilstm_crf", "use_start_scores": False}, "spaced"),
 }
 SIZES = "8/12,32/64,64/200"
 N_SENTENCES = 4
@@ -113,8 +117,8 @@ def run_case(split, vocab, size: str, overrides: dict) -> tuple[str, np.ndarray,
         for mode, seed in (("train", 100 + k), ("eval", None)):
             value, G = model.loss(sent.text, tag_ids(tags), mode=mode, seed=seed)
             digest.update(struct.pack("<d", value))
-            for name, g in model.views(G).items():
-                digest.update(name.encode() + g.tobytes())
+            for name, (sl, _) in model.layout.items():
+                digest.update(name.encode() + G[sl].tobytes())
             losses.append(value)
             grads.append(G)
         digest.update(model.predict(sent.text).encode())
@@ -146,7 +150,7 @@ def main() -> None:
     for size in args.sizes.split(","):
         for name, (overrides, kind) in VARIANTS.items():
             digest, losses, grads, rel = run_case(splits[kind], vocabs[kind], size, overrides)
-            line = f"{name:<16} {size:<7} {digest}  infer rel {rel:.2e}"
+            line = f"{name:<17} {size:<7} {digest}  infer rel {rel:.2e}"
             case = f"{name}@{size}"
             raw[case + ".digest"], raw[case + ".loss"], raw[case + ".grad"] = np.array(digest), losses, grads
             if saved is not None:

@@ -101,18 +101,20 @@ def _build_config(args: argparse.Namespace) -> model_mod.ModelConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_prepare(args) -> int:
+    try:
+        ratios = tuple(float(x) for x in args.ratios.split(","))
+    except ValueError:
+        raise UsageError(f"bad --ratios value {args.ratios!r}") from None
+    if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise UsageError("--ratios needs three non-negative comma-separated values summing to 1")
+    if args.seed < 0 or args.min_tokens < 1 or args.max_tokens < 1:
+        raise UsageError("--seed must be at least 0, and --min-tokens and --max-tokens at least 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = Path(args.raw_corpus).read_bytes()
     text = corpus.normalize_text(raw)
     lines = [ln for ln in text.split("\n") if ln.strip()]
     sentences = list(corpus.split_sentences(lines, args.min_tokens, args.max_tokens))
-    try:
-        ratios = tuple(float(x) for x in args.ratios.split(","))
-    except ValueError:
-        raise UsageError(f"bad --ratios value {args.ratios!r}") from None
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise UsageError("--ratios needs three comma-separated values summing to 1")
     pairs = []
     for s_text in sentences:
         s = corpus.Sentence.from_text(s_text)

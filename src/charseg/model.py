@@ -285,24 +285,21 @@ class Model:
 
     # -- parameter bookkeeping ------------------------------------------------
 
-    def views(self, vec: Array, trainable_only: bool = True) -> dict[str, Array]:
-        """Name the parts of vec, a vector laid out like theta, in layout
-        order; trainable_only leaves out the frozen CRF start scores."""
+    def views(self, vec: Array) -> dict[str, Array]:
+        """Name the parts of vec, a vector laid out like theta, in layout order."""
         if vec.shape != self.theta.shape:
             raise ShapeMismatch(f"vector of shape {vec.shape}, parameters {self.theta.shape}")
-        skip_start = trainable_only and not self.config.use_start_scores
-        return {name: vec[sl].reshape(shape) for name, (sl, shape) in self.layout.items()
-                if not (skip_start and name == "crf.start")}
+        return {name: vec[sl].reshape(shape) for name, (sl, shape) in self.layout.items()}
 
-    def tensors(self, trainable_only: bool = True) -> dict[str, Array]:
-        return self.views(self.theta, trainable_only)
+    def tensors(self) -> dict[str, Array]:
+        return self.views(self.theta)
 
     def parameter_count(self) -> int:
         return self.theta.size
 
     def _bind(self, vec: Array) -> Layers:
         """The network's containers with every array a view of vec."""
-        v = self.views(vec, trainable_only=False)
+        v = self.views(vec)
         # an LSTM's stacked W, U and b each span its four gate tensors
         for name, (sl, shape) in self.layout.items():
             if name.endswith("_" + GATES[0]):
@@ -587,8 +584,8 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
 def _apply(model: Model, opt: AdamaxState, batch: Array, n: int, clip: float) -> None:
     if n > 1:
         batch /= n
-    # per-tensor sums of squares in layout order (see _layout): one dot
-    # product over the vector rounds differently
+    # per-tensor sums of squares in layout order (see _layout; a frozen CRF
+    # start adds +0.0): one dot product over the vector rounds differently
     clip_global_norm(model.views(batch), clip)
     adamax_step(opt, model.theta, batch)
 
@@ -712,7 +709,7 @@ def save_model(model: Model, path, metadata: dict | None = None) -> None:
         config=model.config.to_dict(),
         vocab_sha256=model.vocab.sha256(),
         metadata=metadata or {},
-        tensors=model.tensors(trainable_only=False),
+        tensors=model.tensors(),
     )
 
 
@@ -740,7 +737,7 @@ def load_model(path, vocab: NgramVocab) -> Model:
         if len(expected) != len(shapes):
             raise ShapeMismatch(f"tensors not in the layout: {sorted(shapes.keys() - expected)}")
         model = Model(config, vocab, np.empty(sum(math.prod(s) for s in shapes.values())))
-        views = model.tensors(trainable_only=False)
+        views = model.tensors()
         for name, _ in entries:
             _read_tensor(f, name, views[name])
     return model

@@ -107,28 +107,6 @@ def _packing(lengths) -> tuple[Array, Array]:
     return order, running.sum(axis=1)
 
 
-def lstm_forward(params: LstmParams, X: Array, cache: bool = True, lengths: list[int] | None = None,
-                 buffers: dict | None = None) -> tuple[Array, LstmCache | None]:
-    """Run the cell over the rows of X from the zero state. Returns hidden
-    states (L, h) and the cache for backprop.
-
-    input gate   i = sigmoid(W_i h + U_i x + b_i)
-    forget gate  f = sigmoid(W_f h + U_f x + b_f)
-    candidate    g = tanh   (W_c h + U_c x + b_c)
-    output gate  o = sigmoid(W_o h + U_o x + b_o)
-    cell         c' = f * c + i * g
-    hidden       h' = o * tanh(c')
-
-    with W_i the first h rows of W and so on; a step adds W h, U x and b
-    in this order. X holds sequences of the given lengths (one by default)
-    one after another; they run together time-major (see _packing), and H
-    comes back in X's row order. Training (cache True) takes every product
-    as one GEMV per row. Inference (cache False) takes the GEMMs and the
-    tanh-form gates of _lstm_passes, which may round differently."""
-    (H,), caches = _lstm_passes([params], X, cache, lengths, buffers)
-    return H, caches[0] if cache else None
-
-
 # a BiLSTM's directions share one step loop while their two W fit in this many
 # bytes; past half of a 2 MiB L2 it ran slower (25% faster at h=64, 15% slower at 200)
 STACK_BYTES = 1 << 20
@@ -140,15 +118,29 @@ BLOCK_ROWS = 256
 
 def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[int] | None,
                  buffers: dict | None = None, out: list[Array] | None = None) -> tuple[list[Array], list[LstmCache]]:
-    """lstm_forward of dirs[0] over X and of dirs[1], if given, over X reversed,
-    each writing its states to out[d], an (N, h) array (or view) in its
-    input's row order. Training keeps every state: the first step's zero
-    states, then each step's rows after the last step's. Inference keeps
-    the running ones, takes each sigmoid as 1/2 + tanh(z/2)/2, fills a copy
-    of W.T, the i, f and o columns halved, into one buffer kept in buffers,
-    and takes the gate inputs X @ U.T + b, scaled, one chunk of whole steps
-    at a time (BLOCK_ROWS rows, or one step that holds more), from that
-    chunk's rows of X alone: its memory beyond X and out does not grow."""
+    """The cell of dirs[0] over X and of dirs[1], if given, over X reversed,
+    each from the zero state:
+
+    input gate   i = sigmoid(W_i h + U_i x + b_i)
+    forget gate  f = sigmoid(W_f h + U_f x + b_f)
+    candidate    g = tanh   (W_c h + U_c x + b_c)
+    output gate  o = sigmoid(W_o h + U_o x + b_o)
+    cell         c' = f * c + i * g
+    hidden       h' = o * tanh(c')
+
+    with W_i the first h rows of W and so on; a step adds W h, U x and b
+    in this order. X holds sequences of the given lengths (one by default)
+    one after another, run together time-major (see _packing); direction d
+    writes its states to out[d], an (N, h) array (or view) in its input's
+    row order. Training (cache True) takes every product as one GEMV per
+    row and keeps every state: the first step's zero states, then each
+    step's rows after the last step's. Inference keeps the running ones,
+    takes each sigmoid as 1/2 + tanh(z/2)/2 and the products as GEMMs (it
+    may round differently), fills a copy of W.T, the i, f and o columns
+    halved, into one buffer kept in buffers, and takes the gate inputs
+    X @ U.T + b, scaled, one chunk of whole steps at a time (BLOCK_ROWS
+    rows, or one step that holds more), from that chunk's rows of X alone:
+    its memory beyond X and out does not grow."""
     N, h, D = X.shape[0], dirs[0].hidden_dim, len(dirs)
     lengths = [N] if lengths is None else lengths
     if D == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES:
@@ -156,7 +148,7 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         (H_b,), caches_b = _lstm_passes(dirs[1:], X[::-1], cache, lengths[::-1], buffers, out and out[1:])
         return [H_f, H_b], caches_f + caches_b
     if X.ndim != 2 or X.shape[1] != dirs[0].input_dim or sum(lengths) != N:
-        raise ShapeMismatch(f"lstm_forward: X {X.shape} for lengths {lengths} and input width {dirs[0].input_dim}")
+        raise ShapeMismatch(f"bilstm_forward: X {X.shape} for lengths {lengths} and input width {dirs[0].input_dim}")
     Xs = [X, X[::-1]][:D]
     packs = [_packing(ls) for ls in (lengths, lengths[::-1])[:D]]  # the same sizes
     sizes = packs[0][1].tolist()
@@ -164,6 +156,7 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
     b = np.stack([p.b for p in dirs])
     if cache:
         A, first = np.empty((N, D, 4 * h)), 0
+        W = dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs])
         for d, (p, (order, _)) in enumerate(zip(dirs, packs)):
             x = Xs[d][order, :, None]  # packed rows; an h-row block of U stays in cache across them
             for k in range(4):
@@ -192,7 +185,6 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         # A holds packed rows [first, hi); filling the first chunk here frees its
         # gathered rows of X before the states below are allocated
         first, hi = 0, fill(0, 0) if N else 0
-    W = (dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs])) if cache else W_T.transpose(0, 2, 1)
     HS, CS = np.zeros((2, N + n_max if cache else n_max, D, h))
     out = out or [np.empty((N, h)) for _ in range(D)]
     rec, tanh_g, ig = np.empty((n_max, D, 4 * h)), np.empty((n_max, D, h)), np.empty((n_max, D, h))
@@ -205,7 +197,7 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         e = lo + n_max  # in training, the row of the step's first state
         p, q = (slice(e - m, e - m + n), slice(e, e + n)) if cache else (slice(0, n), slice(0, n))
         r, tg, c = rec[:n], tanh_g[:n], CS[q]
-        if cache or n == 1:  # a GEMV per row and direction
+        if cache:  # a GEMV per row and direction
             np.matmul(W, HS[p, :, :, None], out=r[..., None])
         else:
             np.matmul(HS[p].transpose(1, 0, 2), W_T, out=r.transpose(1, 0, 2))
@@ -234,17 +226,28 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
                  for d, (order, sizes) in enumerate(packs if cache else [])]
 
 
-def lstm_backward(params: LstmParams, cache: LstmCache, dH: Array, grads: LstmParams) -> Array:
-    """Backprop through lstm_forward, over the sequences it ran, dH holding
-    the hidden states' gradients: writes the weights' into grads, returns X's."""
-    return _lstm_backprop([params], [cache], dH[cache.order, None], [grads])[0]
+def bilstm_forward(fwd: LstmParams, bwd: LstmParams | None, X: Array, cache: bool = True,
+                   lengths: list[int] | None = None, buffers: dict | None = None) -> tuple[Array, list[LstmCache] | None]:
+    """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t]
+    (h_fwd_t alone without bwd), over the sequences of lengths that X holds
+    (one by default), and with cache one LstmCache per direction, the
+    backward's computed over X reversed. Each direction writes its states
+    into its half of Y, the backward's as rows of Y[::-1]."""
+    dirs, h = [p for p in (fwd, bwd) if p is not None], fwd.hidden_dim
+    Y = np.empty((X.shape[0], len(dirs) * h))
+    _, caches = _lstm_passes(dirs, X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]][: len(dirs)])
+    return Y, caches if cache else None
 
 
-def _lstm_backprop(dirs: list[LstmParams], caches: list[LstmCache], dH: Array, grads: list[LstmParams]) -> list[Array]:
-    """lstm_backward of each of _lstm_passes' directions, dH (N, directions,
-    h) in packed order. The steps run packed; then each sequence takes its
-    own gradients, the weights' added in X's order."""
+def bilstm_backward(fwd: LstmParams, bwd: LstmParams | None, caches: list[LstmCache], dY: Array,
+                    grads_f: LstmParams, grads_b: LstmParams | None) -> Array:
+    """Backprop through bilstm_forward, over the sequences it ran: writes the
+    weights' gradients into grads_f (and grads_b), returns X's. The steps run
+    packed, dH (N, directions, h) in packed order; then each sequence takes
+    its own gradients, the weights' added in X's order."""
+    dirs, grads = [p for p in (fwd, bwd) if p is not None], [grads_f, grads_b]
     N, h = caches[0].C.shape
+    dH = np.stack([y[c.order] for y, c in zip((dY[:, :h], dY[::-1, h:]), caches)], axis=1)  # packed
     sizes = caches[0].sizes.tolist()
     steps = list(zip(itertools.accumulate(sizes, initial=0), sizes))[::-1]
     bounds = list(itertools.pairwise([*np.sort(caches[0].order[: sizes[0]]).tolist(), N]))  # sequences' rows in X
@@ -300,38 +303,7 @@ def _lstm_backprop(dirs: list[LstmParams], caches: list[LstmCache], dH: Array, g
                     dX[rows] += dPs[:, k * h : (k + 1) * h] @ p.U[k * h : (k + 1) * h]
             dXs.append(dX)
         del dP, dPk, H_prev  # a split pass holds one direction's arrays at a time
-    return dXs
-
-
-# ---------------------------------------------------------------------------
-# BiLSTM layer
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BiLstmCache:
-    fwd: LstmCache
-    bwd: LstmCache | None = None  # computed over the reversed sequence
-
-
-def bilstm_forward(fwd: LstmParams, bwd: LstmParams | None, X: Array, cache: bool = True,
-                   lengths: list[int] | None = None, buffers: dict | None = None) -> tuple[Array, BiLstmCache | None]:
-    """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t]
-    (h_fwd_t alone without bwd), over the sequences of lengths that X holds
-    (one by default). Each direction writes its states into its half of Y,
-    the backward's as rows of Y[::-1]."""
-    dirs, h = [p for p in (fwd, bwd) if p is not None], fwd.hidden_dim
-    Y = np.empty((X.shape[0], len(dirs) * h))
-    _, caches = _lstm_passes(dirs, X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]][: len(dirs)])
-    return Y, BiLstmCache(*caches) if cache else None
-
-
-def bilstm_backward(fwd: LstmParams, bwd: LstmParams | None, cache: BiLstmCache, dY: Array, grads_f: LstmParams,
-                    grads_b: LstmParams | None) -> Array:
-    """Backprop through bilstm_forward, over the sequences it ran."""
-    h, caches = fwd.hidden_dim, [c for c in (cache.fwd, cache.bwd) if c is not None]
-    dH = np.stack([y[c.order] for y, c in zip((dY[:, :h], dY[::-1, h:]), caches)], axis=1)  # packed
-    dX = _lstm_backprop([p for p in (fwd, bwd) if p is not None], caches, dH, [grads_f, grads_b])
-    return dX[0] + dX[1][::-1] if bwd else dX[0]
+    return dXs[0] + dXs[1][::-1] if bwd else dXs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +412,7 @@ def self_attention_backward(
 # ---------------------------------------------------------------------------
 
 def variational_dropout(
-    X: Array, rate: float, mode: str, rng: np.random.Generator | int | None = None
+    X: Array, rate: float, mode: str, rng: np.random.Generator | None = None
 ) -> tuple[Array, Array | None]:
     """One Bernoulli(1-rate)/(1-rate) mask of width d, reused at every timestep.
 
@@ -454,9 +426,7 @@ def variational_dropout(
     if mode == "eval" or rate == 0.0:
         return X, None
     if rng is None:
-        raise ValueError("train-mode dropout needs an rng or seed")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+        raise ValueError("train-mode dropout needs an rng")
     keep = (rng.random(X.shape[1]) >= rate).astype(np.float64) / (1.0 - rate)
     return X * keep, keep
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import WHITESPACE, _token_spans, replace_on_success, utf8_lines
 from .errors import BadEscape, BadTag, EmptyCorpus, LengthMismatch, UninitializedEmbedder
-from .nncore import BiLstmCache, LstmParams, bilstm_backward, bilstm_forward
+from .nncore import LstmCache, LstmParams, bilstm_backward, bilstm_forward
 
 Array = np.ndarray
 
@@ -237,7 +237,7 @@ def _token_ids(tokens: Iterable[str], vocab: NgramVocab, orders: tuple[int, ...]
 
 
 def _compose(X: Array, lengths: list[int], embedder: SubwordEmbedder, cache: bool = False,
-             buffers: dict | None = None) -> tuple[Array, BiLstmCache | None]:
+             buffers: dict | None = None) -> tuple[Array, list[LstmCache] | None]:
     """Composed vectors of tokens, one row each, from one packed composer
     pass over X, which holds their n-gram rows one token after another
     (lengths[k] rows for token k); with cache, also the pass's cache for
@@ -266,7 +266,7 @@ class TokenMemo(dict):
 class FeatureCache:
     ids: dict[int, np.ndarray]              # order -> (L,) ids per character row
     spans: list[tuple[int, int]]
-    composer: BiLstmCache | None            # the packed pass over every span, None without one
+    composer: list[LstmCache] | None        # the packed pass over every span, None without one
 
 
 def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
@@ -328,7 +328,7 @@ def char_features_backward(cache: FeatureCache, dF: Array, embedder: SubwordEmbe
         raise LengthMismatch(f"feature grad {dF.shape} vs cache ({L}, {embedder.feature_width})")
     rows, d_rows = [np.arange(L)], [dF[:, :width]]
     if cache.composer is not None:
-        dY = np.zeros((len(cache.composer.fwd.X), 2 * dim))  # one row per span character
+        dY = np.zeros((len(cache.composer[0].X), 2 * dim))  # one row per span character
         for (a, b), hi in zip(cache.spans, itertools.accumulate(b - a for a, b in cache.spans)):
             d_vec = dF[a:b, width:].sum(axis=0)
             dY[hi - 1, :dim] = d_vec[:dim]

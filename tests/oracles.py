@@ -1,7 +1,7 @@
 """Reference implementations that the tests check the package against.
 
 ``lstm_cell`` is one LSTM update written gate by gate from the equations
-in ``nncore.lstm_forward``, using ``sigmoid_masked``, the logistic function
+in ``nncore._lstm_passes``, using ``sigmoid_masked``, the logistic function
 that ``nncore.sigmoid`` must match bit for bit;
 ``lstm_forward_stepwise``, ``lstm_backward_stepwise`` and
 ``nll_loss_stepwise`` are the kernels as they were before the work that
@@ -62,7 +62,7 @@ from charseg.errors import (CharsegError, GoldPathForbidden, LengthMismatch, NoA
                             UninitializedEmbedder)
 from charseg.metrics import PRF, MetricsReport, TagCounts
 from charseg.model import GATES, VARIANTS, ModelConfig
-from charseg.nncore import (BLOCK_ROWS, AttentionParams, BiLstmCache, DenseParams, LstmCache, LstmParams, _packing,
+from charseg.nncore import (BLOCK_ROWS, AttentionParams, DenseParams, LstmCache, LstmParams, _packing,
                             bilstm_backward, bilstm_forward, log_softmax, logsumexp, softmax)
 from charseg.subword import (FILLER, MEMO_TOKENS, PAD_ID, SPACE_ID, UNK_ID, NgramVocab, SubwordEmbedder, TokenMemo,
                              _token_ids, char_features_cached)
@@ -146,10 +146,10 @@ def lstm_forward_stepwise(params: LstmParams, X: Array, cache: bool = True,
     N = X.shape[0]
     h = params.hidden_dim
     if X.ndim != 2 or X.shape[1] != params.input_dim:
-        raise ShapeMismatch(f"lstm_forward: X {X.shape}, expected (L, {params.input_dim})")
+        raise ShapeMismatch(f"lstm_forward_stepwise: X {X.shape}, expected (L, {params.input_dim})")
     order, sizes = _packing(lengths) if lengths is not None and len(lengths) > 1 else (None, [1] * N)
     if order is not None and (cache or len(order) != N):
-        raise ShapeMismatch(f"lstm_forward: lengths {lengths} for {N} rows, cache {cache}")
+        raise ShapeMismatch(f"lstm_forward_stepwise: lengths {lengths} for {N} rows, cache {cache}")
     A = np.empty((N, 4 * h)) if cache else X @ params.U.T
     # (n x h) @ (h x 4h) runs 2-3x faster with W.T contiguous than as a view
     W_T = None if order is None else np.ascontiguousarray(params.W.T)
@@ -523,7 +523,7 @@ def compose_subword(token: str, vocab: NgramVocab, embedder: SubwordEmbedder) ->
 @dataclass
 class ComposerCache:
     ids: dict[int, np.ndarray]  # order -> (token length,)
-    lstm: BiLstmCache
+    lstm: list[LstmCache]
 
 
 def compose_from_ids(tokens: list[str], token_ids: dict[str, dict[int, Array]], embedder: SubwordEmbedder,

@@ -24,6 +24,12 @@ from charseg.synth import make_lexicon, make_sentences
 from oracles import parse_report
 
 
+def child_env() -> dict:
+    """The environment of a child process that imports this charseg, BLAS on one thread."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join([str(Path(charseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.fixture(scope="module")
 def raw_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("raw")
@@ -87,6 +93,23 @@ def test_prepare_deterministic_bytes(raw_corpus, tmp_path):
 
 def test_prepare_missing_file(tmp_path):
     assert main(["prepare", str(tmp_path / "nope.txt"), str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--ratios", "nan,0.5,0.5"], ["--ratios", "inf,-inf,1"],
+                                   ["--max-tokens", "0"], ["--ratios=-0.5,1.0,0.5"]],
+                         ids=["negative-seed", "nan-ratio", "infinite-ratios", "zero-max-tokens", "negative-ratio"])
+def test_prepare_bad_flags_exit_1_with_one_error_line(raw_corpus, tmp_path, flags):
+    # a seed default_rng refuses, ratios that are not finite and non-negative,
+    # or a token bound below 1 is a usage error, found before anything is written
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from charseg.cli import main; sys.exit(main(sys.argv[1:]))",
+         "prepare", str(raw_corpus), str(tmp_path / "out"), *flags],
+        capture_output=True, text=True, env=child_env(), timeout=600,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +325,7 @@ def test_train_failing_checkpoint_write_keeps_old_file(prepared, trained, tmp_pa
 
     tensors = model_mod.Model.tensors
     monkeypatch.setattr(model_mod.Model, "tensors",
-                        lambda self, trainable_only=True: {**tensors(self, trainable_only), "~disk-full": DiskFull()})
+                        lambda self: {**tensors(self), "~disk-full": DiskFull()})
     code = main(["train", str(prepared), "--out", str(out),
                  "--epochs", "1", "--d-emb", "4", "--hidden", "6", "--seed", "0"])
     assert code == 2
@@ -642,12 +665,10 @@ def test_huge_checkpoint_config_exits_2_before_allocating(tmp_path, field, value
     edit_checkpoint(v1 / "checkpoint.bin", ckpt, lambda h: h["config"].update({field: value}))
     inp = tmp_path / "in.txt"
     inp.write_text("ab cd\n", encoding="utf-8")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(Path(charseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", CAPPED_CHILD, "segment", "--checkpoint", str(ckpt), "--vocab", str(v1 / "vocab.tsv"),
          "--input", str(inp), "--output", str(tmp_path / "out.txt")],
-        capture_output=True, text=True, env=env, timeout=600,
+        capture_output=True, text=True, env=child_env(), timeout=600,
     )
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stderr.startswith("error: tensor "), proc.stderr
@@ -683,12 +704,10 @@ def long_line(tmp_path_factory):
 def start_segment(child: str, inp: Path, out: Path) -> subprocess.Popen:
     """segment of inp into out with the v1 checkpoint, run by child in a
     process of its own; communicate() returns its stdout and stderr."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(Path(charseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     return subprocess.Popen(
         [sys.executable, "-c", child, "segment", "--checkpoint", str(V1_DIR / "checkpoint.bin"),
          "--input", str(inp), "--output", str(out)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
     )
 
 

@@ -41,7 +41,7 @@ from charseg.model import (
     train,
     write_checkpoint,
 )
-from charseg.nncore import BLOCK_ROWS
+from charseg.nncore import BLOCK_ROWS, clip_global_norm
 from charseg.subword import NgramVocab, TokenMemo, build_vocab
 from charseg.synth import make_lexicon, make_sentences, make_split
 
@@ -190,7 +190,7 @@ def test_build_is_seed_deterministic(tiny):
     _, vocab = tiny
     a = Model(tiny_config(), vocab)
     b = Model(tiny_config(), vocab)
-    for (ka, va), (kb, vb) in zip(a.tensors(False).items(), b.tensors(False).items()):
+    for (ka, va), (kb, vb) in zip(a.tensors().items(), b.tensors().items()):
         assert ka == kb
         np.testing.assert_array_equal(va, vb)
 
@@ -205,7 +205,7 @@ def test_tensors_tile_theta(tiny, kw):
         assert sl.start == end, name
         end = sl.stop
     assert end == model.theta.size == model.parameter_count()
-    tensors = model.tensors(trainable_only=False)
+    tensors = model.tensors()
     assert list(tensors) == list(model.layout)
     for name, arr in tensors.items():
         assert np.shares_memory(arr, model.theta), name
@@ -223,16 +223,27 @@ def test_tensors_run_output_layer_first(tiny):
     # perfbench's reference losses depend on that rounding, so this order
     # must stay the order backprop produces gradients: out, attn, dense,
     # encoder layers from the top, embedding tables, composer, crf.
-    _, vocab = tiny
+    split, vocab = tiny
     model = Model(tiny_config(num_layers=2), vocab)
     names = list(model.tensors())
     prefixes = list(dict.fromkeys(n.rsplit(".", 1)[0] for n in names))
     assert prefixes == ["out", "attn", "dense", "enc1.fwd", "enc1.bwd", "enc0.fwd", "enc0.bwd",
                         "emb", "composer.fwd", "composer.bwd", "crf"]
     assert names[0] == "out.W" and names[-1] == "crf.start"
-    frozen = Model(tiny_config(use_start_scores=False), vocab)
-    assert list(frozen.tensors())[-1] == "crf.transitions"
-    assert list(frozen.tensors(trainable_only=False))[-1] == "crf.start"
+    # a frozen start comes last too, and its gradient is exactly 0.0: it adds
+    # +0.0 to the norm, so clipping over every tensor keeps the bits of
+    # clipping without it, and training leaves the start at 0
+    frozen = Model(tiny_config(use_start_scores=False, epochs=1), vocab)
+    assert list(frozen.tensors())[-1] == "crf.start"
+    s, t = split.train[0]
+    _, G = frozen.loss(s.text, tag_ids(t), mode="train", seed=1)
+    G_ref = G.copy()
+    _, norm = clip_global_norm(frozen.views(G), 1e-3)
+    _, norm_ref = clip_global_norm({n: g for n, g in frozen.views(G_ref).items() if n != "crf.start"}, 1e-3)
+    assert norm.hex() == norm_ref.hex() and norm > 1e-3
+    assert G.tobytes() == G_ref.tobytes()
+    train(frozen, split)
+    np.testing.assert_array_equal(frozen.crf.start, 0.0)
 
 
 def test_layout_names_and_stacked_gate_views(tiny):
@@ -252,7 +263,7 @@ def test_layout_names_and_stacked_gate_views(tiny):
         assert a.flags.c_contiguous
         return a.__array_interface__["data"][0], a.nbytes
 
-    named = model.tensors(trainable_only=False)
+    named = model.tensors()
     for prefix, p in [("enc0.fwd.", model.encoder[0][0]), ("enc0.bwd.", model.encoder[0][1]),
                       ("composer.fwd.", model.embedder.fwd), ("composer.bwd.", model.embedder.bwd)]:
         for field in "WUb":
@@ -338,7 +349,7 @@ def test_loss_gradient_is_zero_at_frozen_start(tiny):
     s, t = split.train[0]
     _, G = model.loss(s.text, tag_ids(t), mode="train", seed=1)
     assert G.shape == model.theta.shape
-    np.testing.assert_array_equal(model.views(G, trainable_only=False)["crf.start"], 0.0)
+    np.testing.assert_array_equal(model.views(G)["crf.start"], 0.0)
 
 
 @pytest.mark.parametrize("kw", [{}, {"variant": "lstm_softmax"}, {"use_start_scores": False}],

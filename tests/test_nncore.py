@@ -22,8 +22,6 @@ from charseg.nncore import (
     dense_forward,
     global_norm,
     logsumexp,
-    lstm_backward,
-    lstm_forward,
     self_attention,
     self_attention_backward,
     sigmoid,
@@ -57,12 +55,12 @@ def random_lstm(d_in, hidden, rng):
 
 
 # ---------------------------------------------------------------------------
-# lstm_forward, one step at a time
+# one direction (bilstm_forward without bwd), one step at a time
 # ---------------------------------------------------------------------------
 
 def test_lstm_step_zero_params_is_fixed_point():
     p = zero_lstm(3, 4)
-    H, cache = lstm_forward(p, np.array([[5.0, -2.0, 7.0]]))
+    H, (cache,) = bilstm_forward(p, None, np.array([[5.0, -2.0, 7.0]]))
     # gates are all 0.5, candidate 0, so cell and hidden stay exactly zero
     np.testing.assert_array_equal(cache.C[0], np.zeros(4))
     np.testing.assert_array_equal(H[0], np.zeros(4))
@@ -91,7 +89,7 @@ def test_lstm_step_scalar_matches_hand_arithmetic():
 
     p = LstmParams(W=np.array([[w[f"W_{g}"]] for g in "ifco"]), U=np.array([[w[f"U_{g}"]] for g in "ifco"]),
                    b=np.array([w[f"b_{g}"] for g in "ifco"]))
-    H, cache = lstm_forward(p, np.array(xs)[:, None])
+    H, (cache,) = bilstm_forward(p, None, np.array(xs)[:, None])
     for t, (h, c) in enumerate(expected):
         assert H[t, 0] == pytest.approx(h, abs=1e-15)
         assert cache.C[t, 0] == pytest.approx(c, abs=1e-15)
@@ -100,13 +98,13 @@ def test_lstm_step_scalar_matches_hand_arithmetic():
 def test_lstm_step_shape_mismatch():
     p = zero_lstm(3, 4)
     with pytest.raises(ShapeMismatch):
-        lstm_forward(p, np.zeros((1, 5)))
+        bilstm_forward(p, None, np.zeros((1, 5)))
 
 
 def test_lstm_gate_outputs_bounded(rng):
     p = random_lstm(3, 4, rng)
     X = rng.normal(size=(6, 3))
-    H, cache = lstm_forward(p, X)
+    H, (cache,) = bilstm_forward(p, None, X)
     for arr in (cache.A[:, :4], cache.A[:, 4:8], cache.A[:, 12:]):  # i, f, o
         assert np.all(arr > 0) and np.all(arr < 1)
     assert np.all(np.isfinite(H))
@@ -120,12 +118,12 @@ def test_lstm_backward_matches_finite_differences(rng):
     params = named(p)
 
     def loss_and_grads():
-        H, cache = lstm_forward(p, X)
+        H, caches = bilstm_forward(p, None, X)
         loss = float(w @ H[-1] + H.sum())
         dH = np.ones_like(H)
         dH[-1] += w
         grads = zeros_like(p)
-        lstm_backward(p, cache, dH, grads)
+        bilstm_backward(p, None, caches, dH, grads, None)
         return loss, named(grads)
 
     report = grad_check(loss_and_grads, params, n_per_tensor=4, tolerance=1e-4, seed=0)
@@ -137,11 +135,11 @@ def test_lstm_backward_input_gradient(rng):
     X = rng.normal(size=(4, 3))
 
     def loss_of(Xv):
-        H, _ = lstm_forward(p, Xv)
+        H, _ = bilstm_forward(p, None, Xv)
         return float(H.sum())
 
-    H, cache = lstm_forward(p, X)
-    dX = lstm_backward(p, cache, np.ones_like(H), zeros_like(p))
+    H, caches = bilstm_forward(p, None, X)
+    dX = bilstm_backward(p, None, caches, np.ones_like(H), zeros_like(p), None)
     step = 1e-6
     for idx in [(0, 0), (1, 2), (3, 1)]:
         Xp = X.copy()
@@ -161,8 +159,8 @@ def test_bilstm_single_step_boundary(rng):
     bwd = random_lstm(3, 2, rng)
     X = rng.normal(size=(1, 3))
     Y, _ = bilstm_forward(fwd, bwd, X)
-    hf, _ = lstm_forward(fwd, X)
-    hb, _ = lstm_forward(bwd, X)
+    hf, _ = bilstm_forward(fwd, None, X)
+    hb, _ = bilstm_forward(bwd, None, X)
     np.testing.assert_allclose(Y[0, :2], hf[0])
     np.testing.assert_allclose(Y[0, 2:], hb[0])
 
@@ -207,7 +205,8 @@ def test_uncached_pass_matches_cached(L, size, seed):
     rng = np.random.default_rng(seed)
     fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
     X = rng.normal(size=(L, d_in))
-    for run in (lambda cache: lstm_forward(fwd, X, cache), lambda cache: bilstm_forward(fwd, bwd, X, cache)):
+    for run in (lambda cache: bilstm_forward(fwd, None, X, cache),
+                lambda cache: bilstm_forward(fwd, bwd, X, cache)):
         ref, ref_cache = run(True)
         got, got_cache = run(False)
         assert ref_cache is not None and got_cache is None
@@ -226,8 +225,8 @@ def test_inference_tanh_gates_match_sigmoid():
     X = np.zeros((h, 4 * h))
     X[:, :h], X[:, 2 * h : 3 * h], X[:, 3 * h :] = zi, 20.0, zo
     for rows in X[:, None]:
-        got, _ = lstm_forward(p, rows, cache=False)
-        ref, _ = lstm_forward(p, rows)
+        got, _ = bilstm_forward(p, None, rows, cache=False)
+        ref, _ = bilstm_forward(p, None, rows)
         assert np.max(np.abs(got - ref)) <= 1e-15
         assert np.max(np.abs(ref - sigmoid(rows[:, 3 * h :]) * np.tanh(sigmoid(rows[:, :h])))) == 0.0
 
@@ -245,7 +244,7 @@ def test_batched_pass_matches_each_sequence(lengths, size, seed):
     fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
     X = rng.normal(size=(sum(lengths), d_in))
     ends = np.cumsum(lengths)
-    for run in (lambda X, cache, lens=None: lstm_forward(fwd, X, cache, lens),
+    for run in (lambda X, cache, lens=None: bilstm_forward(fwd, None, X, cache, lens),
                 lambda X, cache, lens=None: bilstm_forward(fwd, bwd, X, cache, lens)):
         got, cache = run(X, False, lengths)
         assert cache is None and got.shape[0] == X.shape[0]
@@ -267,10 +266,16 @@ def test_broadcast_matmul_keeps_per_row_gemv_bits(h, D):
     # W (D, 4h, h) broadcast over the rows, and the backward its carry as one
     # matmul of each gate's W.T block summed over the gates: the pass keeps
     # each sequence's own bits only while both equal a GEMV per row,
-    # direction and gate, the gates added in order
+    # direction and gate, the gates added in order. An inference step takes
+    # its product from a contiguous copy of W.T, as a GEMM over its rows:
+    # with one row left, numpy runs it as the GEMV of that copy's transpose
     rng = np.random.default_rng(h + D)
     W = rng.uniform(-0.1, 0.1, (D, 4 * h, h))
     W_T = W.reshape(D, 4, h, h).transpose(0, 1, 3, 2)
+    W_inf = np.ascontiguousarray(W.transpose(0, 2, 1))
+    H = rng.normal(size=(1, D, h))
+    ref = np.array([[W_inf[k].T @ H[0, k] for k in range(D)]])
+    assert same_bits(np.matmul(H.transpose(1, 0, 2), W_inf).transpose(1, 0, 2), ref)
     for n in (2, 3, 7, 13):
         H = rng.normal(size=(n, D, h))
         ref = np.array([[W[k] @ H[r, k] for k in range(D)] for r in range(n)])
@@ -315,14 +320,14 @@ def test_lstm_kernels_keep_stepwise_bits(L, size, seed, shared_loop):
     dH = dY[:, hidden:][::-1]  # a strided view, as bilstm_backward passes
     grads, bi_grads = zeros_like(fwd), [zeros_like(fwd), zeros_like(bwd)]
     with stack_bytes(nncore.STACK_BYTES if shared_loop else 0):
-        H, cache = lstm_forward(fwd, X)
+        H, (cache,) = bilstm_forward(fwd, None, X)
         Y, bi_cache = bilstm_forward(fwd, bwd, X)
-        dX_one = lstm_backward(fwd, cache, dH, grads)
+        dX_one = bilstm_backward(fwd, None, [cache], dH, grads, None)
         dX = bilstm_backward(fwd, bwd, bi_cache, dY, *bi_grads)
     H_ref, cache_ref = lstm_forward_stepwise(fwd, X)
     Y_ref, (cache_f, cache_b) = stepwise_bilstm(fwd, bwd, X)
     assert same_bits(H, H_ref) and same_bits(Y, Y_ref)
-    for got, want in ((cache, cache_ref), (bi_cache.fwd, cache_f), (bi_cache.bwd, cache_b)):
+    for got, want in ((cache, cache_ref), (bi_cache[0], cache_f), (bi_cache[1], cache_b)):
         for field in dataclasses.fields(LstmCache):
             assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
     grads_ref, bi_grads_ref = zeros_like(fwd), [zeros_like(fwd), zeros_like(bwd)]
@@ -346,7 +351,7 @@ def test_packed_inference_matches_stepwise_gathered_pass(lengths, size, seed, sh
     fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
     X = rng.normal(size=(sum(lengths), d_in))
     with stack_bytes(nncore.STACK_BYTES if shared_loop else 0):
-        got_pairs = ((lstm_forward(fwd, X, False, lengths)[0], lstm_forward_stepwise(fwd, X, False, lengths)[0]),
+        got_pairs = ((bilstm_forward(fwd, None, X, False, lengths)[0], lstm_forward_stepwise(fwd, X, False, lengths)[0]),
                      (bilstm_forward(fwd, bwd, X, False, lengths)[0], stepwise_bilstm(fwd, bwd, X, False, lengths)[0]))
     for got, ref in got_pairs:
         assert got.shape == ref.shape
@@ -470,7 +475,7 @@ def test_dropout_rate_zero_identity(rng):
 
 def test_dropout_mask_shared_across_timesteps():
     X = np.ones((8, 16))
-    Y, mask = variational_dropout(X, 0.25, "train", 7)
+    Y, mask = variational_dropout(X, 0.25, "train", np.random.default_rng(7))
     zero_cols = np.flatnonzero(mask == 0)
     assert zero_cols.size > 0
     for t in range(8):
@@ -490,9 +495,9 @@ def test_dropout_monte_carlo_mean():
 
 def test_dropout_bad_rate():
     with pytest.raises(BadRate):
-        variational_dropout(np.ones((2, 2)), 1.0, "train", 0)
+        variational_dropout(np.ones((2, 2)), 1.0, "train", np.random.default_rng(0))
     with pytest.raises(BadRate):
-        variational_dropout(np.ones((2, 2)), -0.1, "train", 0)
+        variational_dropout(np.ones((2, 2)), -0.1, "train", np.random.default_rng(0))
 
 
 def test_dropout_eval_identity(rng):

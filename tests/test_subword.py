@@ -430,6 +430,6 @@ def test_training_composes_every_span_in_one_call(rng, monkeypatch):
     monkeypatch.setattr(subword, "_compose", counting)
     F, cache = char_features_cached(" ".join(["abc"] * 4), vocab, emb)
     assert len(calls) == 1 and calls[0][1] == [3, 3, 3, 3]
-    assert cache.composer.fwd.X.shape == (12, emb.ngram_width)
+    assert cache.composer[0].X.shape == (12, emb.ngram_width)
     for lo in (4, 8, 12):
         assert F[lo : lo + 3].tobytes() == F[:3].tobytes()
