@@ -105,8 +105,10 @@ def cmd_prepare(args) -> int:
         ratios = tuple(float(x) for x in args.ratios.split(","))
     except ValueError:
         raise UsageError(f"bad --ratios value {args.ratios!r}") from None
-    if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise UsageError("--ratios needs three non-negative comma-separated values summing to 1")
+    if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9
+            or 0.0 in ratios[:2]):
+        raise UsageError("--ratios needs three non-negative comma-separated values summing to 1, "
+                         "the train and dev shares above 0")
     if args.seed < 0 or args.min_tokens < 1 or args.max_tokens < 1:
         raise UsageError("--seed must be at least 0, and --min-tokens and --max-tokens at least 1")
     out_dir = Path(args.out_dir)

@@ -347,21 +347,25 @@ class Model:
         """The inference forward, no backprop cache: emission scores of each
         non-empty text, in order, from one packed composer pass over the
         new tokens (see memo), one packed pass per encoder layer and
-        direction, then the head once over all rows: all after attention's
-        softmax A is linear, so per text only A and A (D (W_v W_o W_out))
-        remain. Attention runs by blocks of BLOCK_ROWS rows of a text, so
-        no array holds more than BLOCK_ROWS x L scores and memory grows
-        linearly with text length. The dense rows D are computed in place
-        once the encoder output is let go; beside D, at most one text's K
-        and one block's Q are alive (see _rows_of)."""
+        direction, the first over the batch's distinct feature rows (see
+        char_features_cached), then the head once over all rows: all after
+        attention's softmax A is linear, so per text only A and A (D (W_v
+        W_o W_out)) remain. The scores Q K^T are D (W_q W_k^T) D^T: the
+        keys are D's own rows, and W_q W_k^T is kept in memo.buffers.
+        Attention runs by blocks of BLOCK_ROWS rows of a text, so no array
+        holds more than BLOCK_ROWS x L scores and memory grows linearly with
+        text length. The dense rows D are computed in place once the encoder
+        output is let go; beside D, at most one block's queries are alive
+        (see _rows_of)."""
         if not texts:
             return []
         memo.batches += 1
         lengths = [len(t) for t in texts]
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
-            cur, _ = char_features_cached(texts, self.vocab, self.embedder, memo)
+            cur, index = char_features_cached(texts, self.vocab, self.embedder, memo)
             for fwd, bwd in self.encoder:
-                cur, _ = bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers)
+                cur, _ = bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers, index)
+                index = None
             D = cur @ self.hidden_proj.W
             del cur
             D += self.hidden_proj.b
@@ -371,15 +375,16 @@ class Model:
             spans = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths).tolist(), lengths)]
             if at is not None:
                 Vp = D @ (at.W_v @ (at.W_o @ out.W))
-                # short texts (a batch of at most BLOCK_ROWS rows) take Q and K in one
-                # product each; longer ones one text's K and one block's Q at a time
-                QK = (D @ at.W_q, D @ at.W_k) if len(D) <= BLOCK_ROWS else None
+                W_qk = memo.buffers.get("W_qk")
+                if W_qk is None:
+                    W_qk = memo.buffers["W_qk"] = at.W_q @ at.W_k.T
+                # a batch of at most BLOCK_ROWS rows takes its queries in one product
+                Q = D @ W_qk if len(D) <= BLOCK_ROWS else None
                 for sl in spans:
-                    K = QK[1][sl] if QK else _rows_of(D, sl.start, sl.stop, at.W_k)
                     for lo in range(sl.start, sl.stop, BLOCK_ROWS):
                         hi = min(lo + BLOCK_ROWS, sl.stop)
-                        Q = QK[0][lo:hi] if QK else _rows_of(D, lo, hi, at.W_q)
-                        E[lo:hi] += attention_weights(Q, K) @ Vp[sl]
+                        q = Q[lo:hi] if Q is not None else _rows_of(D, lo, hi, W_qk)
+                        E[lo:hi] += attention_weights(q, D[sl]) @ Vp[sl]
         if not np.isfinite(E).all():
             raise NonFiniteEmissions(f"emission scores of a batch of {len(texts)} texts are not all finite")
         return [E[sl] for sl in spans]
@@ -445,6 +450,7 @@ class Model:
         for this call only; pass one to read its counts."""
         memo = TokenMemo() if memo is None else memo
         memo.clear()
+        memo.buffers.pop("W_qk", None)  # made from the parameters again, once per call
         for batch in _batches(texts):
             scores = iter(self.batch_emissions([t for t in batch if t], memo))
             for text in batch:

@@ -116,8 +116,15 @@ STACK_BYTES = 1 << 20
 BLOCK_ROWS = 256
 
 
+def gate_table_fits(n_rows: int, n_distinct: int, width: int, gate_width: int) -> bool:
+    """Whether an inference pass takes its gate inputs once per distinct row: that table
+    (at least BLOCK_ROWS rows) and the distinct rows take no more memory than all rows."""
+    return max(n_distinct, BLOCK_ROWS) * gate_width + n_distinct * width <= n_rows * width
+
+
 def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[int] | None,
-                 buffers: dict | None = None, out: list[Array] | None = None) -> tuple[list[Array], list[LstmCache]]:
+                 buffers: dict | None = None, out: list[Array] | None = None,
+                 index: Array | None = None) -> tuple[list[Array], list[LstmCache]]:
     """The cell of dirs[0] over X and of dirs[1], if given, over X reversed,
     each from the zero state:
 
@@ -140,12 +147,19 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
     halved, into one buffer kept in buffers, and takes the gate inputs
     X @ U.T + b, scaled, one chunk of whole steps at a time (BLOCK_ROWS
     rows, or one step that holds more), from that chunk's rows of X alone:
-    its memory beyond X and out does not grow."""
-    N, h, D = X.shape[0], dirs[0].hidden_dim, len(dirs)
+    its memory beyond X and out does not grow. A chunk's product spans at
+    least BLOCK_ROWS rows (all N if fewer), ending at its last: OpenBLAS
+    rounds a product of a few rows differently, and every row keeps the
+    bits of one product over all rows. Given an index (inference only), X
+    holds distinct rows and input row k is X[index[k]]; where
+    gate_table_fits, one product (zero rows padding it to BLOCK_ROWS) takes
+    the gate inputs of X's rows, and each chunk gathers from that table."""
+    N, h, D = X.shape[0] if index is None else len(index), dirs[0].hidden_dim, len(dirs)
     lengths = [N] if lengths is None else lengths
     if D == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES:
-        (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths, buffers, out and out[:1])
-        (H_b,), caches_b = _lstm_passes(dirs[1:], X[::-1], cache, lengths[::-1], buffers, out and out[1:])
+        rev = (X[::-1], None) if index is None else (X, index[::-1])
+        (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths, buffers, out and out[:1], index)
+        (H_b,), caches_b = _lstm_passes(dirs[1:], rev[0], cache, lengths[::-1], buffers, out and out[1:], rev[1])
         return [H_f, H_b], caches_f + caches_b
     if X.ndim != 2 or X.shape[1] != dirs[0].input_dim or sum(lengths) != N:
         raise ShapeMismatch(f"bilstm_forward: X {X.shape} for lengths {lengths} and input width {dirs[0].input_dim}")
@@ -170,21 +184,37 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         W_T = flat[:size].reshape(D, h, 4 * h)  # (n x h) @ (h x 4h) runs 2-3x faster with W.T contiguous
         for d, p in enumerate(dirs):
             np.multiply(p.W.T, s, out=W_T[d])
+        ix = np.arange(N) if index is None else index
+        src = [(ix, ix[::-1])[d][order] for d, (order, _) in enumerate(packs)]  # X's row of each packed row
+        T = None  # the gate inputs of X's rows, where they fit
+        if index is not None and gate_table_fits(N, len(X), X.shape[1], D * 4 * h):
+            Xp = np.concatenate([X, np.zeros((max(0, BLOCK_ROWS - len(X)), X.shape[1]))])
+            T = np.empty((len(Xp), D, 4 * h))
+            for d, p in enumerate(dirs):
+                np.matmul(Xp, p.U.T, out=T[:, d])
+            T += b
+            T *= s
+            del Xp
         A, ends = np.empty((max(min(N, BLOCK_ROWS), n_max), D, 4 * h)), np.cumsum(sizes)  # ends[t]: row after step t
 
-        def fill(lo: int, t: int) -> int:
-            """Gate inputs of the steps from step t (packed row lo) on into A, from
-            only their rows of X; returns the packed row after the chunk."""
+        def fill(lo: int, t: int) -> tuple[int, int]:
+            """Gate inputs of the steps from step t (packed row lo) on into A; returns
+            the packed rows A starts at and the row after the chunk."""
             hi = int(ends[max(t, np.searchsorted(ends, lo + BLOCK_ROWS, "right") - 1)])
+            if T is not None:
+                for d in range(D):
+                    np.take(T[:, d], src[d][lo:hi], axis=0, out=A[: hi - lo, d], mode="clip")
+                return lo, hi
+            a = max(0, min(lo, hi - BLOCK_ROWS))  # the product's first row
             for d, p in enumerate(dirs):
-                np.matmul(Xs[d][packs[d][0][lo:hi]], p.U.T, out=A[: hi - lo, d])
-            A[: hi - lo] += b
-            A[: hi - lo] *= s
-            return hi
+                np.matmul(X[src[d][a:hi]], p.U.T, out=A[: hi - a, d])
+            A[lo - a : hi - a] += b
+            A[lo - a : hi - a] *= s
+            return a, hi
 
         # A holds packed rows [first, hi); filling the first chunk here frees its
         # gathered rows of X before the states below are allocated
-        first, hi = 0, fill(0, 0) if N else 0
+        first, hi = fill(0, 0) if N else (0, 0)
     HS, CS = np.zeros((2, N + n_max if cache else n_max, D, h))
     out = out or [np.empty((N, h)) for _ in range(D)]
     rec, tanh_g, ig = np.empty((n_max, D, 4 * h)), np.empty((n_max, D, h)), np.empty((n_max, D, h))
@@ -192,7 +222,7 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
     enter = [n_max, *sizes][:-1]  # step t's n rows enter from the first n of the m rows before
     for t, (lo, n, m) in enumerate(zip(itertools.accumulate(sizes, initial=0), sizes, enter)):
         if not cache and lo == hi:
-            first, hi = lo, fill(lo, t)
+            first, hi = fill(lo, t)
         a = A[lo - first : lo - first + n]
         e = lo + n_max  # in training, the row of the step's first state
         p, q = (slice(e - m, e - m + n), slice(e, e + n)) if cache else (slice(0, n), slice(0, n))
@@ -227,15 +257,17 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
 
 
 def bilstm_forward(fwd: LstmParams, bwd: LstmParams | None, X: Array, cache: bool = True,
-                   lengths: list[int] | None = None, buffers: dict | None = None) -> tuple[Array, list[LstmCache] | None]:
+                   lengths: list[int] | None = None, buffers: dict | None = None,
+                   index: Array | None = None) -> tuple[Array, list[LstmCache] | None]:
     """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t]
     (h_fwd_t alone without bwd), over the sequences of lengths that X holds
     (one by default), and with cache one LstmCache per direction, the
     backward's computed over X reversed. Each direction writes its states
-    into its half of Y, the backward's as rows of Y[::-1]."""
+    into its half of Y, the backward's as rows of Y[::-1]. Given an index
+    (inference only), input row t is X[index[t]] (see _lstm_passes)."""
     dirs, h = [p for p in (fwd, bwd) if p is not None], fwd.hidden_dim
-    Y = np.empty((X.shape[0], len(dirs) * h))
-    _, caches = _lstm_passes(dirs, X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]][: len(dirs)])
+    Y = np.empty((X.shape[0] if index is None else len(index), len(dirs) * h))
+    _, caches = _lstm_passes(dirs, X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]][: len(dirs)], index)
     return Y, caches if cache else None
 
 

@@ -252,7 +252,8 @@ class TokenMemo(dict):
     """Token -> composed vector within one inference run, at most MEMO_TOKENS
     (cleared when a batch's new tokens do not fit); it must not outlive a
     parameter write. ``buffers`` holds the run's scratch arrays (see
-    nncore._lstm_passes). ``tokens`` counts the tokens looked up,
+    nncore._lstm_passes) and the head's W_q W_k^T (see
+    model.Model.batch_emissions). ``tokens`` counts the tokens looked up,
     ``composed`` those composed, ``batches`` the batched passes."""
 
     tokens = composed = batches = 0
@@ -270,43 +271,47 @@ class FeatureCache:
 
 
 def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: SubwordEmbedder,
-                         memo: TokenMemo | None = None) -> tuple[Array, FeatureCache | None]:
-    """Feature matrix (L x feature width) plus the cache for backprop. The
-    composer reads its input from F's n-gram columns in one packed pass:
-    in training over every span, one sequence each, in inference (with a
-    memo) over the first span of each distinct token the memo lacks. With
-    a memo the cache is None, and text may be a list of texts whose rows F
-    holds one after another."""
+                         memo: TokenMemo | None = None) -> tuple[Array, FeatureCache | Array]:
+    """Features of text as distinct rows: each distinct token's rows, one
+    token after another, then one whitespace row if text has whitespace,
+    and index[k], character k's row. The composer reads its input from the
+    rows' n-gram columns in one packed pass: in training over every span,
+    one sequence each, in inference (with a memo) over each distinct token
+    the memo lacks. Training returns the feature matrix rows[index] (L x
+    feature width) and the cache for backprop; inference returns rows and
+    index, and text may be a list of texts whose characters index holds
+    one after another."""
     embedder.check_vocab(vocab)
     texts = [text] if isinstance(text, str) else text
     starts = itertools.accumulate((len(t) for t in texts), initial=0)
     spans = [(lo + a, lo + b) for lo, t in zip(starts, texts) for a, b in _token_spans(t)]
     text = "".join(texts)
-    L = len(text)
-    dim = embedder.dim
     tokens = [text[a:b] for a, b in spans]
-    token_ids = _token_ids(tokens, vocab, embedder.orders)
-    ids = {n: np.full(L, PAD_ID if n > 1 else SPACE_ID, dtype=np.int64) for n in embedder.orders}
+    token_ids = _token_ids(tokens, vocab, embedder.orders)  # distinct tokens in order of appearance
+    offsets = dict(zip(token_ids, itertools.accumulate(map(len, token_ids), initial=0)))
+    n_tok = sum(map(len, token_ids))
+    index, first = np.full(len(text), n_tok), np.arange(n_tok)  # whitespace takes row n_tok
     for (a, b), token in zip(spans, tokens):
-        for n in embedder.orders:
-            ids[n][a:b] = token_ids[token][n]
-    F = np.zeros((L, embedder.feature_width))
-    col = 0
-    for n in embedder.orders:
-        F[:, col : col + dim] = embedder.tables[n][ids[n]]
-        col += dim
+        index[a:b] = first[offsets[token] : offsets[token] + b - a]
+    n_space = int(len(text) > sum(b - a for a, b in spans))
+    row_ids = {n: np.concatenate([*(ids[n] for ids in token_ids.values()),
+                                  np.full(n_space, PAD_ID if n > 1 else SPACE_ID)]) for n in embedder.orders}
+    rows = np.zeros((n_tok + n_space, embedder.feature_width))
+    dim, col = embedder.dim, embedder.ngram_width
+    for k, n in enumerate(embedder.orders):
+        rows[:, k * dim : (k + 1) * dim] = embedder.tables[n][row_ids[n]]
     composer = None
     if embedder.use_composer:
-        vecs = {t: None if memo is None else memo.get(t) for t in token_ids}  # in order of appearance
+        vecs = {t: None if memo is None else memo.get(t) for t in token_ids}
         new = [t for t, vec in vecs.items() if vec is None]
-        runs = spans if memo is None else list(map(dict(zip(tokens[::-1], spans[::-1])).get, new))
-        if runs:  # all spans in training (a token's compose to the same bits), else each new token's first
-            X = np.concatenate([F[a:b, :col] for a, b in runs])
-            V, composer = _compose(X, [b - a for a, b in runs], embedder, memo is None,
+        runs = tokens if memo is None else new  # every span in training: a token's compose to the same bits
+        if runs:
+            X = np.concatenate([rows[offsets[t] : offsets[t] + len(t), :col] for t in runs])
+            V, composer = _compose(X, [len(t) for t in runs], embedder, memo is None,
                                    None if memo is None else memo.buffers)
-            vecs.update(zip(tokens if memo is None else new, V))
-        for (a, b), token in zip(spans, tokens):
-            F[a:b, col:] = vecs[token]
+            vecs.update(zip(runs, V))
+        for token, vec in vecs.items():
+            rows[offsets[token] : offsets[token] + len(token), col:] = vec
         if memo is not None:
             if len(memo) + len(new) > MEMO_TOKENS:
                 memo.clear()
@@ -314,8 +319,8 @@ def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: Sub
             memo.composed += len(new)
     if memo is not None:
         memo.tokens += len(spans)
-        return F, None
-    return F, FeatureCache(ids=ids, spans=spans, composer=composer)
+        return rows, index
+    return rows[index], FeatureCache(ids={n: ids[index] for n, ids in row_ids.items()}, spans=spans, composer=composer)
 
 
 def char_features_backward(cache: FeatureCache, dF: Array, embedder: SubwordEmbedder, grads: SubwordEmbedder) -> None:

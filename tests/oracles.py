@@ -28,9 +28,10 @@ as they were before the composer read its input from the feature matrix
 (composer inputs gathered again from each occurrence's n-gram ids, one
 composer pass per occurrence, a second scatter loop for the composer's
 input gradients): the bits the package's feature pass must keep;
-``head_from_batch_products`` is the inference forward with every
-product of the head taken over the whole batch, the bits
-``Model.batch_emissions`` must keep; ``lookup`` reads an n-gram's id; ``parse_report`` reads a JSON-lines
+``head_from_batch_products`` is the inference forward over
+per-character feature rows, with every product of the head taken over
+the whole batch, the bits ``Model.batch_emissions`` must keep (with
+``fold=False``, the head with separate query and key products); ``lookup`` reads an n-gram's id; ``parse_report`` reads a JSON-lines
 evaluation report back;
 ``uniform_init``, ``lstm_init``, ``dense_init``, ``attention_init``,
 ``crf_init`` and ``embedder_init`` build fresh parameter containers, each
@@ -371,18 +372,22 @@ def nll_loss_stepwise(
     return loss, CrfGrads(emissions=d_emissions, transitions=d_trans, start=d_start)
 
 
-def head_from_batch_products(model, texts: list[str]) -> list[Array]:
-    """Model.batch_emissions of texts with every product of the head taken
-    over all of the batch's rows, as before Q and K came by text and row
-    block: the bits the inference head must keep."""
+def head_from_batch_products(model, texts: list[str], fold: bool = True) -> list[Array]:
+    """Model.batch_emissions of texts with the encoder run over one feature
+    row per character (rows[index]) and every product of the head taken over
+    all of the batch's rows, as before Q came by text and row block: with
+    fold, the scores D (W_q W_k^T) D^T that the inference head must keep
+    the bits of, else (D W_q) (D W_k)^T, as before the key was folded."""
     lengths, memo = [len(t) for t in texts], TokenMemo()
-    cur, _ = char_features_cached(texts, model.vocab, model.embedder, memo)
+    distinct, index = char_features_cached(texts, model.vocab, model.embedder, memo)
+    cur = distinct[index]
     for fwd, bwd in model.encoder:
         cur, _ = bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers)
     at, out = model.attn, model.out_proj
     D = np.tanh(cur @ model.hidden_proj.W + model.hidden_proj.b)
     E = D @ out.W + out.b
-    Q, K, Vp = D @ at.W_q, D @ at.W_k, D @ (at.W_v @ (at.W_o @ out.W))
+    Q, K = (D @ (at.W_q @ at.W_k.T), D) if fold else (D @ at.W_q, D @ at.W_k)
+    Vp = D @ (at.W_v @ (at.W_o @ out.W))
     spans = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths).tolist(), lengths)]
     for sl in spans:
         for lo in range(sl.start, sl.stop, BLOCK_ROWS):

@@ -96,11 +96,14 @@ def test_prepare_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--ratios", "nan,0.5,0.5"], ["--ratios", "inf,-inf,1"],
-                                   ["--max-tokens", "0"], ["--ratios=-0.5,1.0,0.5"]],
-                         ids=["negative-seed", "nan-ratio", "infinite-ratios", "zero-max-tokens", "negative-ratio"])
+                                   ["--max-tokens", "0"], ["--ratios=-0.5,1.0,0.5"], ["--ratios", "0,0,1"],
+                                   ["--ratios", "1,0,0"]],
+                         ids=["negative-seed", "nan-ratio", "infinite-ratios", "zero-max-tokens", "negative-ratio",
+                              "zero-train-share", "zero-dev-share"])
 def test_prepare_bad_flags_exit_1_with_one_error_line(raw_corpus, tmp_path, flags):
     # a seed default_rng refuses, ratios that are not finite and non-negative,
-    # or a token bound below 1 is a usage error, found before anything is written
+    # a zero train or dev share, or a token bound below 1 is a usage error,
+    # found before anything is written
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from charseg.cli import main; sys.exit(main(sys.argv[1:]))",
          "prepare", str(raw_corpus), str(tmp_path / "out"), *flags],
@@ -646,13 +649,15 @@ def test_train_rejects_inconsistent_vocab_ids(prepared, tmp_path, capsys, case):
 
 
 # segment in a child process that caps its own address space at 1 GiB once
-# charseg is imported, then prints its exit code and peak RSS
+# charseg is imported, then prints its exit code and peak RSS: VmHWM, which
+# exec resets, where ru_maxrss keeps the forking process's high-water mark
 CAPPED_CHILD = """
 import json, resource, sys
 from charseg.cli import main
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+hwm = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "maxrss_kb": hwm}))
 """
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charseg import subword
+from charseg import nncore, subword
 from charseg.corpus import (
     WHITESPACE,
     DatasetSplit,
@@ -704,6 +704,55 @@ def test_batch_emissions_keep_the_bits_of_whole_batch_products():
         got = model.batch_emissions(batch, TokenMemo())
         want = head_from_batch_products(model, batch)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+def record_table_rule(monkeypatch) -> list[bool]:
+    """The answers nncore.gate_table_fits gives from now on, in order."""
+    answers, fits = [], nncore.gate_table_fits
+
+    def recording(*args):
+        answers.append(fits(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(nncore, "gate_table_fits", recording)
+    return answers
+
+
+@pytest.mark.parametrize("kw", [dict(d_emb=8, hidden=12), dict(d_emb=64, hidden=200)], ids=["stacked", "split"])
+def test_layer0_distinct_rows_keep_the_bits_of_per_character_rows(tiny, kw, monkeypatch):
+    # layer 0 reads the batch's distinct feature rows by the row index; with
+    # repeated tokens or whitespace runs its gate inputs come from one table,
+    # in short batches each chunk gathers its rows, and both keep the bits of
+    # the encoder over one feature row per character (the repeated text's
+    # last chunk of 5 rows too)
+    split, vocab = tiny
+    model = Model(tiny_config(**kw), vocab)
+    texts = [s.text for s, _ in split.train]
+    words = texts[0].split()[:3]
+    repeated = " ".join(words * 150)[: 4 * BLOCK_ROWS + 5]
+    runs = "   ".join(words * 60) + " \t \t" + " ".join(words)
+    one = words[0][0]
+    rows, index = subword.char_features_cached([one, one], vocab, model.embedder, TokenMemo())
+    assert len(rows) == 1 and index.tolist() == [0, 0]
+    answers = record_table_rule(monkeypatch)
+    for batch, fits in (([repeated], True), ([runs, texts[1]], True), ([one, one], False), (texts[:4], False)):
+        answers.clear()
+        got = model.batch_emissions(batch, TokenMemo())
+        assert answers and set(answers) == {fits}, batch
+        want = head_from_batch_products(model, batch)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+def test_folded_key_moves_emissions_within_1e_13_and_keeps_tags():
+    # scores D (W_q W_k^T) D^T in place of (D W_q) (D W_k)^T: emissions
+    # within 1e-13 of the largest, and the same Viterbi paths
+    model, (long_a, long_b) = paper_size_pair()
+    for batch in ([long_a], [long_a, long_b], [long_a[:150], long_b[:40]]):
+        folded, unfolded = head_from_batch_products(model, batch), head_from_batch_products(model, batch, fold=False)
+        for got, a, b in zip(model.batch_emissions(batch, TokenMemo()), folded, unfolded, strict=True):
+            assert got.tobytes() == a.tobytes()
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            assert viterbi_decode(a, model.crf)[0].tolist() == viterbi_decode(b, model.crf)[0].tolist()
 
 
 def test_predict_many_after_parameter_write(tiny):

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from charseg import nncore
 from charseg.errors import BadRate, NonFiniteGradient, ShapeMismatch
 from charseg.nncore import (
     ADAMAX_BLOCK,
+    BLOCK_ROWS,
     AdamaxState,
     LstmCache,
     LstmParams,
@@ -20,6 +21,7 @@ from charseg.nncore import (
     clip_global_norm,
     dense_backward,
     dense_forward,
+    gate_table_fits,
     global_norm,
     logsumexp,
     self_attention,
@@ -356,6 +358,36 @@ def test_packed_inference_matches_stepwise_gathered_pass(lengths, size, seed, sh
     for got, ref in got_pairs:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@given(lengths=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=4),
+       n_distinct=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), shared_loop=st.booleans())
+@example(lengths=[4 * BLOCK_ROWS + 5], n_distinct=7, seed=0, shared_loop=True)
+@example(lengths=[4 * BLOCK_ROWS + 5], n_distinct=7, seed=0, shared_loop=False)
+def test_distinct_rows_keep_the_bits_of_one_row_per_input(lengths, n_distinct, seed, shared_loop):
+    # X's distinct rows and an index: the gate inputs come from one table
+    # (where it fits: from 512 + n_distinct rows on with both directions in
+    # one loop, 256 + n_distinct with one each) or by chunks of gathered
+    # rows, with the bits of the pass over X[index]; a last chunk of 5 rows
+    # takes its product over 256 rows, as a product of a few rows at this
+    # size rounds differently
+    d_in, hidden = 48, 12
+    rng = np.random.default_rng(seed)
+    fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
+    X, index = rng.normal(size=(n_distinct, d_in)), rng.integers(0, n_distinct, sum(lengths))
+    with stack_bytes(nncore.STACK_BYTES if shared_loop else 0):
+        for bwd_ in (None, bwd):
+            got, _ = bilstm_forward(fwd, bwd_, X, False, lengths, index=index)
+            assert same_bits(got, bilstm_forward(fwd, bwd_, X[index], False, lengths)[0])
+
+
+def test_gate_table_fits_when_table_and_distinct_rows_take_no_more_than_all_rows():
+    # the table spans at least BLOCK_ROWS rows; equal memory still fits
+    assert gate_table_fits(2 * BLOCK_ROWS + 10, 10, 48, 96)
+    assert not gate_table_fits(2 * BLOCK_ROWS + 9, 10, 48, 96)
+    assert gate_table_fits(900, 300, 48, 96) and not gate_table_fits(899, 300, 48, 96)
+    assert not gate_table_fits(2, 1, 48, 96)
 
 
 @given(lengths=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=6),

@@ -401,16 +401,17 @@ def test_features_and_gradients_match_per_occurrence_reference(text, dim, seed):
 @given(batches=st.lists(st.lists(feature_texts(), min_size=1, max_size=3), min_size=1, max_size=3),
        seed=st.integers(0, 2**16))
 def test_memo_features_match_per_occurrence_reference(batches, seed):
-    # batches of texts through one memo each: the same F bytes, memo
-    # contents and counts as the reference
+    # batches of texts through one memo each: distinct rows whose gather by
+    # the row index has the reference's F bytes, and its memo contents and counts
     vocab = small_vocab(("ab abc a ba", "cab abc ab"))
     emb = embedder_init(vocab, dim=3, rng=np.random.default_rng(seed))
     memo, memo_ref = TokenMemo(), TokenMemo()
     for texts in batches:
-        F, cache = char_features_cached(texts, vocab, emb, memo)
+        rows, index = char_features_cached(texts, vocab, emb, memo)
         F_ref, _ = char_features_cached_from_ids(texts, vocab, emb, memo_ref)
-        assert cache is None
-        assert F.tobytes() == F_ref.tobytes()
+        tokens = {w for t in texts for w in t.split()}
+        assert len(rows) == sum(map(len, tokens)) + any(c.isspace() for t in texts for c in t)
+        assert rows[index].tobytes() == F_ref.tobytes()
         assert (memo.tokens, memo.composed) == (memo_ref.tokens, memo_ref.composed)
         assert list(memo) == list(memo_ref)
         assert all(memo[t].tobytes() == memo_ref[t].tobytes() for t in memo)
