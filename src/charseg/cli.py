@@ -182,14 +182,18 @@ def _load_model(args) -> model_mod.Model:
 
 def _print_summary(start: float, lengths: list[int], memo: subword.TokenMemo, **extra) -> None:
     """Print the run's summary, wall time from start included, as one JSON line on stderr;
-    max_rss_mb is the process's peak resident memory so far, where resource exists."""
+    max_rss_mb is the process's peak resident memory so far (VmHWM, which exec resets, or ru_maxrss)."""
     seconds, chars = time.perf_counter() - start, sum(lengths)
     summary = dict(sentences=len(lengths), chars=chars, seconds=round(seconds, 6),
                    chars_per_s=round(chars / seconds, 1), longest_line=max(lengths, default=0),
                    tokens=memo.tokens, composed=memo.composed, batches=memo.batches, **extra)
-    if resource is not None:  # ru_maxrss is in KiB on Linux, in bytes on macOS
-        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
-        summary["max_rss_mb"] = round(kib / 1024, 1)
+    try:
+        with open("/proc/self/status") as f:
+            summary["max_rss_mb"] = round(next(int(row.split()[1]) for row in f if row.startswith("VmHWM:")) / 1024, 1)
+    except (OSError, StopIteration):  # no /proc; ru_maxrss is in KiB on Linux, in bytes on macOS
+        if resource is not None:
+            kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+            summary["max_rss_mb"] = round(kib / 1024, 1)
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
 
 

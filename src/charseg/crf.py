@@ -5,8 +5,8 @@ The log-partition runs the forward recursion in the log domain; the loss
 gradient is expected feature counts minus gold counts from forward-backward
 marginals; decoding is max-product with backpointers. A hard constraint
 mask (log-domain 0/-inf addends) can restrict start/end tags, transitions,
-and per-position tags; training normally runs unconstrained while decoding
-applies the boundary-grammar mask.
+and per-position tags; it is for decoding only: training runs
+unconstrained, while decoding applies the boundary-grammar mask.
 
 Tie-breaking for equal-score paths is fixed: the decoder picks the lowest
 tag index at the final position and at every backpointer, which selects
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TAGS
-from .errors import GoldPathForbidden, LengthMismatch, NoAllowedPath
+from .errors import LengthMismatch, NoAllowedPath
 from .nncore import logsumexp
 
 Array = np.ndarray
@@ -99,7 +99,7 @@ def _path_score(emis: Array, tags: np.ndarray, start: Array, trans: Array) -> np
     return score
 
 
-def _forward(emis: Array, start: Array, trans: Array, end: Array) -> tuple[Array, float]:
+def _forward(emis: Array, start: Array, trans: Array) -> tuple[Array, float]:
     """Log-domain forward recursion: the (L, K) alpha table and log Z."""
     L, K = emis.shape
     alpha = np.empty((L, K))
@@ -109,10 +109,7 @@ def _forward(emis: Array, start: Array, trans: Array, end: Array) -> tuple[Array
         for t in range(1, L):
             logsumexp(np.add(alpha[t - 1][:, None], trans, out=x), axis=0, out=alpha[t])
             alpha[t] += emis[t]
-    log_z = float(logsumexp(alpha[L - 1] + end, axis=0))
-    if not np.isfinite(log_z):
-        raise NoAllowedPath("constraint mask leaves no complete path")
-    return alpha, log_z
+    return alpha, float(logsumexp(alpha[L - 1], axis=0))
 
 
 @dataclass
@@ -122,35 +119,27 @@ class CrfGrads:
     start: Array
 
 
-def nll_loss(
-    emissions: Array,
-    gold: np.ndarray,
-    params: CrfParams,
-    mask: ConstraintMask | None = None,
-) -> tuple[float, CrfGrads]:
+def nll_loss(emissions: Array, gold: np.ndarray, params: CrfParams) -> tuple[float, CrfGrads]:
     """Negative log-likelihood of the gold path and its analytic gradients.
 
     Gradients are expected feature counts minus gold counts, from
-    forward-backward marginals. The gradient at any masked-out entry is
-    exactly zero because its marginal probability is zero.
+    forward-backward marginals. A loss or gradient that is not finite, from
+    inputs that are not or that overflow, is the caller's numeric failure.
     """
-    emis, start, trans, end = _masked(emissions, params, mask)
+    emis, start, trans = emissions, params.start, params.transitions
     L, K = emis.shape
-    gold_score = _path_score(emis, gold, start, trans) + end[gold[L - 1]]
-    if not np.isfinite(gold_score):
-        raise GoldPathForbidden("gold path excluded by the constraint mask")
-
-    alpha, log_z = _forward(emis, start, trans, end)
+    gold_score = _path_score(emis, gold, start, trans)
+    alpha, log_z = _forward(emis, start, trans)
 
     beta = np.empty((L, K))
-    beta[L - 1] = end
+    beta[L - 1] = 0.0
     x, v = np.empty((K, K)), np.empty(K)
     with np.errstate(divide="ignore"):
         for t in range(L - 2, -1, -1):
             logsumexp(np.add(trans, np.add(emis[t + 1], beta[t + 1], out=v), out=x), axis=1, out=beta[t])
 
     with np.errstate(invalid="ignore"):
-        gamma = np.exp(alpha + beta - log_z)  # exp(-inf) = 0 at forbidden entries
+        gamma = np.exp(alpha + beta - log_z)  # exp(-inf) = 0 where a -inf score forbids
     d_emissions = gamma.copy()
     d_emissions[np.arange(L), gold] -= 1.0
 

@@ -75,9 +75,6 @@ class NoAllowedPath(CharsegError):
     """The constraint mask leaves no complete tag path."""
 
 
-class GoldPathForbidden(CharsegError):
-    """The gold tag path is excluded by the constraint mask."""
-
 
 # -- model / io --------------------------------------------------------------
 

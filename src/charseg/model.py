@@ -19,7 +19,7 @@ Training is per-sentence gradient descent with Adamax, global-norm
 clipping, and epoch-level model selection on dev tag F. Everything is
 deterministic given (config, seed, corpus). Training mutates parameters
 and is single-threaded by contract; predict only reads them, so a loaded
-model is safe for concurrent callers.
+model is safe for concurrent callers that do not share a TokenMemo.
 """
 
 from __future__ import annotations
@@ -323,18 +323,18 @@ class Model:
 
     # -- forward / backward ----------------------------------------------------
 
-    def emissions(self, text: str, mode: str = "eval", seed: int | None = None) -> tuple[Array, ForwardCache]:
-        """Emission scores (L x tags) and the cache for backprop."""
+    def emissions(self, text: str, seed: int | None = None) -> tuple[Array, ForwardCache]:
+        """Emission scores (L x tags) and the cache for backprop; dropout iff a seed is given."""
         rng = None if seed is None else np.random.default_rng(seed)
         F, feat_cache = char_features_cached(text, self.vocab, self.embedder)
         drop = self.config.dropout
-        X, mask_in = variational_dropout(F, drop, mode, rng)
+        X, mask_in = variational_dropout(F, drop, rng)
         enc_caches = []
         cur = X
         for fwd, bwd in self.encoder:
             cur, cache = bilstm_forward(fwd, bwd, cur)
             enc_caches.append(cache)
-        cur, mask_out = variational_dropout(cur, drop, mode, rng)
+        cur, mask_out = variational_dropout(cur, drop, rng)
         D, dense_cache = dense_forward(self.hidden_proj, cur, activation="tanh")
         Z, attn_cache = (D, None) if self.attn is None else self_attention(self.attn, D)
         E, out_cache = dense_forward(self.out_proj, Z)
@@ -355,8 +355,9 @@ class Model:
         Attention runs by blocks of BLOCK_ROWS rows of a text, so no array
         holds more than BLOCK_ROWS x L scores and memory grows linearly with
         text length. The dense rows D are computed in place once the encoder
-        output is let go; beside D, at most one block's queries are alive
-        (see _rows_of)."""
+        output is let go; beside D, the queries of at most BLOCK_ROWS rows are
+        alive, from a product over at least BLOCK_ROWS rows of D (all if it has
+        fewer), as OpenBLAS rounds a product of a few rows differently."""
         if not texts:
             return []
         memo.batches += 1
@@ -378,13 +379,15 @@ class Model:
                 W_qk = memo.buffers.get("W_qk")
                 if W_qk is None:
                     W_qk = memo.buffers["W_qk"] = at.W_q @ at.W_k.T
-                # a batch of at most BLOCK_ROWS rows takes its queries in one product
-                Q = D @ W_qk if len(D) <= BLOCK_ROWS else None
+                a = b = 0  # Q holds the queries of rows a:b
                 for sl in spans:
                     for lo in range(sl.start, sl.stop, BLOCK_ROWS):
                         hi = min(lo + BLOCK_ROWS, sl.stop)
-                        q = Q[lo:hi] if Q is not None else _rows_of(D, lo, hi, W_qk)
-                        E[lo:hi] += attention_weights(q, D[sl]) @ Vp[sl]
+                        if lo < a or hi > b:
+                            a = max(0, min(lo, len(D) - BLOCK_ROWS))
+                            b = max(hi, a + BLOCK_ROWS)
+                            Q = D[a:b] @ W_qk
+                        E[lo:hi] += attention_weights(Q[lo - a : hi - a], D[sl]) @ Vp[sl]
         if not np.isfinite(E).all():
             raise NonFiniteEmissions(f"emission scores of a batch of {len(texts)} texts are not all finite")
         return [E[sl] for sl in spans]
@@ -404,9 +407,9 @@ class Model:
             dY = dY * cache.mask_in
         char_features_backward(cache.feat, dY, self.embedder, grads.embedder)
 
-    def loss(self, text: str, gold: np.ndarray, mode: str = "train", seed: int | None = None) -> tuple[float, Array]:
+    def loss(self, text: str, gold: np.ndarray, seed: int | None = None) -> tuple[float, Array]:
         """Sentence loss and its gradient, a fresh vector laid out like
-        theta (zero at the frozen CRF start scores).
+        theta (zero at the frozen CRF start scores); dropout iff a seed is given.
 
         CRF variants use the sequence negative log-likelihood; softmax
         variants use mean per-position cross-entropy.
@@ -414,7 +417,7 @@ class Model:
         if len(text) != len(gold):
             raise LengthMismatch(f"{len(text)} characters vs {len(gold)} tags")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below or in clipping
-            E, cache = self.emissions(text, mode=mode, seed=seed)
+            E, cache = self.emissions(text, seed)
             if not np.isfinite(E).all():
                 raise NonFiniteEmissions(f"emission scores of a {len(text)}-character sentence are not all finite")
             # backprop writes every view whole but the tables, a tokenless text's composer, the frozen start
@@ -468,15 +471,6 @@ class Model:
     def predict(self, text: str) -> str:
         """Tag string for one normalized sentence."""
         return next(self.predict_many([text]))
-
-
-def _rows_of(D: Array, lo: int, hi: int, W: Array) -> Array:
-    """(D @ W)[lo:hi] from a product over at least BLOCK_ROWS rows of D (all
-    of them if it has fewer): BLAS may take a product of a few rows through
-    a kernel that rounds differently (OpenBLAS does), and the rows keep the
-    bits of one product over all of D."""
-    a = max(0, min(lo, len(D) - BLOCK_ROWS))
-    return (D[a : max(hi, a + BLOCK_ROWS)] @ W)[lo - a : hi - a]
 
 
 def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
@@ -558,7 +552,7 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
         for si in order:
             sent, gold = train_ids[si]
             seed = int(rng.integers(0, 2**63 - 1))
-            value, G = model.loss(sent.text, gold, mode="train", seed=seed)
+            value, G = model.loss(sent.text, gold, seed)
             total += value
             if batch is None:
                 batch, batch_n = G, 1

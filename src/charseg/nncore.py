@@ -1,6 +1,6 @@
 """Seedable float64 neural primitives with hand-derived backward passes.
 
-Everything here is deterministic given (parameters, input, seed, mode) and
+Everything here is deterministic given (parameters, input, seed) and
 runs at 64-bit precision. Parameters live in small dataclasses of numpy
 arrays (in a model, views of one parameter vector); each forward function
 returns a cache consumed by its backward counterpart. A backward function
@@ -443,22 +443,16 @@ def self_attention_backward(
 # variational dropout
 # ---------------------------------------------------------------------------
 
-def variational_dropout(
-    X: Array, rate: float, mode: str, rng: np.random.Generator | None = None
-) -> tuple[Array, Array | None]:
+def variational_dropout(X: Array, rate: float, rng: np.random.Generator | None) -> tuple[Array, Array | None]:
     """One Bernoulli(1-rate)/(1-rate) mask of width d, reused at every timestep.
 
-    Returns (output, mask); mask is None in inference mode or at rate 0.
+    Returns (output, mask); mask is None without an rng or at rate 0.
     The mask multiplies gradients on the way back, so callers keep it.
     """
     if not (0.0 <= rate < 1.0):
         raise BadRate(f"dropout rate {rate} outside [0, 1)")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
+    if rng is None or rate == 0.0:
         return X, None
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
     keep = (rng.random(X.shape[1]) >= rate).astype(np.float64) / (1.0 - rate)
     return X * keep, keep
 

@@ -236,24 +236,13 @@ def _token_ids(tokens: Iterable[str], vocab: NgramVocab, orders: tuple[int, ...]
     return {t: {n: vocab.anchored_ids(t, n) for n in orders} for t in dict.fromkeys(tokens)}
 
 
-def _compose(X: Array, lengths: list[int], embedder: SubwordEmbedder, cache: bool = False,
-             buffers: dict | None = None) -> tuple[Array, list[LstmCache] | None]:
-    """Composed vectors of tokens, one row each, from one packed composer
-    pass over X, which holds their n-gram rows one token after another
-    (lengths[k] rows for token k); with cache, also the pass's cache for
-    backprop."""
-    Y, lstm_cache = bilstm_forward(embedder.fwd, embedder.bwd, X, cache, lengths, buffers)
-    d = embedder.dim
-    ends = np.cumsum(lengths)
-    return np.hstack([Y[ends - 1, :d], Y[ends - lengths, d:]]), lstm_cache
-
-
 class TokenMemo(dict):
     """Token -> composed vector within one inference run, at most MEMO_TOKENS
     (cleared when a batch's new tokens do not fit); it must not outlive a
     parameter write. ``buffers`` holds the run's scratch arrays (see
     nncore._lstm_passes) and the head's W_q W_k^T (see
-    model.Model.batch_emissions). ``tokens`` counts the tokens looked up,
+    model.Model.batch_emissions), refilled by every pass: concurrent calls
+    must not share a memo. ``tokens`` counts the tokens looked up,
     ``composed`` those composed, ``batches`` the batched passes."""
 
     tokens = composed = batches = 0
@@ -305,11 +294,13 @@ def char_features_cached(text: str | list[str], vocab: NgramVocab, embedder: Sub
         vecs = {t: None if memo is None else memo.get(t) for t in token_ids}
         new = [t for t, vec in vecs.items() if vec is None]
         runs = tokens if memo is None else new  # every span in training: a token's compose to the same bits
-        if runs:
+        if runs:  # a token's vector: the forward's last state and the backward's first
             X = np.concatenate([rows[offsets[t] : offsets[t] + len(t), :col] for t in runs])
-            V, composer = _compose(X, [len(t) for t in runs], embedder, memo is None,
-                                   None if memo is None else memo.buffers)
-            vecs.update(zip(runs, V))
+            lengths = [len(t) for t in runs]
+            Y, composer = bilstm_forward(embedder.fwd, embedder.bwd, X, memo is None, lengths,
+                                         None if memo is None else memo.buffers)
+            ends = np.cumsum(lengths)
+            vecs.update(zip(runs, np.hstack([Y[ends - 1, :dim], Y[ends - lengths, dim:]])))
         for token, vec in vecs.items():
             rows[offsets[token] : offsets[token] + len(token), col:] = vec
         if memo is not None:

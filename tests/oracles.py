@@ -17,7 +17,9 @@ keep;
 ``extract_ngrams`` lists a token's sliding n-gram windows;
 ``attention_weights`` is the softmax that ``nncore.self_attention`` must
 match bit for bit; ``sequence_score`` and ``log_partition`` score one
-tag path and all of them; ``grammar_mask_per_position`` builds the
+tag path and all of them, ``log_partition`` also under a constraint mask
+(the package's CRF applies masks only when it decodes; it trains
+unconstrained); ``grammar_mask_per_position`` builds the
 boundary-grammar mask position by position, the bytes ``crf.grammar_mask``
 must keep, and ``mask_from_bool`` turns boolean arrays into a mask;
 ``brute_force_paths`` enumerates every tag path of a CRF instance;
@@ -59,8 +61,7 @@ import numpy as np
 
 from charseg.corpus import N_TAGS, TAG_TO_ID, WHITESPACE, _token_spans
 from charseg.crf import ConstraintMask, CrfGrads, CrfParams, _forward, _masked, _path_score
-from charseg.errors import (CharsegError, GoldPathForbidden, LengthMismatch, NoAllowedPath, ShapeMismatch,
-                            UninitializedEmbedder)
+from charseg.errors import CharsegError, LengthMismatch, NoAllowedPath, ShapeMismatch, UninitializedEmbedder
 from charseg.metrics import PRF, MetricsReport, TagCounts
 from charseg.model import GATES, VARIANTS, ModelConfig
 from charseg.nncore import (BLOCK_ROWS, AttentionParams, DenseParams, LstmCache, LstmParams, _packing,
@@ -220,8 +221,13 @@ def sequence_score(emissions: Array, tags: np.ndarray, params: CrfParams) -> flo
 
 
 def log_partition(emissions: Array, params: CrfParams, mask: ConstraintMask | None = None) -> float:
-    """log sum over all (allowed) tag paths of exp(path score)."""
-    _, log_z = _forward(*_masked(emissions, params, mask))
+    """log sum over all (allowed) tag paths of exp(path score): crf._forward
+    over the masked scores, with the mask's end addends."""
+    emis, start, trans, end = _masked(emissions, params, mask)
+    alpha, _ = _forward(emis, start, trans)
+    log_z = float(logsumexp(alpha[-1] + end, axis=0))
+    if not np.isfinite(log_z):
+        raise NoAllowedPath("constraint mask leaves no complete path")
     return log_z
 
 
@@ -329,28 +335,19 @@ def brute_force_paths(
     return best_path, best_score, log_z
 
 
-def nll_loss_stepwise(
-    emissions: Array,
-    gold: np.ndarray,
-    params: CrfParams,
-    mask: ConstraintMask | None = None,
-) -> tuple[float, CrfGrads]:
+def nll_loss_stepwise(emissions: Array, gold: np.ndarray, params: CrfParams) -> tuple[float, CrfGrads]:
     """Negative log-likelihood of the gold path and its analytic gradients.
 
     Gradients are expected feature counts minus gold counts, from
-    forward-backward marginals. The gradient at any masked-out entry is
-    exactly zero because its marginal probability is zero.
+    forward-backward marginals.
     """
-    emis, start, trans, end = _masked(emissions, params, mask)
+    emis, start, trans = emissions, params.start, params.transitions
     L, K = emis.shape
-    gold_score = _path_score(emis, gold, start, trans) + end[gold[L - 1]]
-    if not np.isfinite(gold_score):
-        raise GoldPathForbidden("gold path excluded by the constraint mask")
-
-    alpha, log_z = _forward(emis, start, trans, end)
+    gold_score = _path_score(emis, gold, start, trans)
+    alpha, log_z = _forward(emis, start, trans)
 
     beta = np.empty((L, K))
-    beta[L - 1] = end
+    beta[L - 1] = 0.0
     for t in range(L - 2, -1, -1):
         beta[t] = logsumexp(trans + (emis[t + 1] + beta[t + 1])[None, :], axis=1)
 
@@ -633,15 +630,15 @@ def char_features_backward_from_ids(cache: FeatureCacheFromIds, dF: Array, embed
 
 
 def forward_loss(model, text: str, gold: np.ndarray, seed: int) -> float:
-    """Model.loss(text, gold, mode="train", seed=seed)'s value, the same
-    bits, from the forward alone: the emissions, then the CRF's log Z less
-    the gold path's score, or the softmax's mean cross-entropy."""
-    E, _ = model.emissions(text, mode="train", seed=seed)
+    """Model.loss(text, gold, seed)'s value, the same bits, from the forward
+    alone: the emissions, then the CRF's log Z less the gold path's score,
+    or the softmax's mean cross-entropy."""
+    E, _ = model.emissions(text, seed)
     if model.crf is None:
         return float(-np.mean(log_softmax(E, axis=-1)[np.arange(len(text)), gold]))
-    emis, start, trans, end = _masked(E, model.crf, None)
-    _, log_z = _forward(emis, start, trans, end)
-    return log_z - float(_path_score(emis, gold, start, trans) + end[gold[-1]])
+    start, trans = model.crf.start, model.crf.transitions
+    _, log_z = _forward(E, start, trans)
+    return log_z - float(_path_score(E, gold, start, trans))
 
 
 def lookup(vocab: NgramVocab, n: int, gram: str) -> int:

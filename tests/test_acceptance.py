@@ -119,7 +119,7 @@ def test_criterion_3_full_model_gradient_check():
     def loss_and_grads():
         total, acc = 0.0, None
         for i, (text, gold) in enumerate(data):
-            v, g = model.loss(text, gold, mode="train", seed=4000 + i)
+            v, g = model.loss(text, gold, seed=4000 + i)
             total += v
             if acc is None:
                 acc = g

@@ -172,6 +172,23 @@ def test_train_rejects_nan_learning_rate(prepared, tmp_path, capsys):
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
+def test_non_finite_crf_transition_exits_3(prepared, tmp_path, capsys, monkeypatch):
+    # an infinite CRF transition is a numeric failure of training, not a
+    # data error: one numeric failure line, exit 3
+    train = model_mod.train
+
+    def train_with_inf(net, split, **kwargs):
+        net.crf.transitions[0, 0] = float("inf")
+        return train(net, split, **kwargs)
+
+    monkeypatch.setattr(model_mod, "train", train_with_inf)
+    code = main(["train", str(prepared), "--out", str(tmp_path / "run"), "--epochs", "1",
+                 "--d-emb", "4", "--hidden", "6"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: global gradient norm is ") and err.count("\n") == 1, err
+
+
 def test_diverging_train_prints_only_its_numeric_failure(tmp_path, capsys, recwarn):
     # a learning rate that blows the parameters up: the non-finite gradient
     # norm is reported once, as the error line, not as numpy warnings from
@@ -681,6 +698,28 @@ def test_huge_checkpoint_config_exits_2_before_allocating(tmp_path, field, value
     assert report["code"] == 2
     assert report["maxrss_kb"] < 150 * 1024, report
     assert not (tmp_path / "out.txt").exists()
+
+
+# a process that holds 256 MB, then execs segment: the summary's max_rss_mb
+# is segment's own peak, not the high-water mark exec carries over
+EXEC_AFTER_256MB = """
+import os, sys
+import numpy as np
+held = np.ones(2**25)
+os.execv(sys.executable, [sys.executable, "-m", "charseg.cli", *sys.argv[1:]])
+"""
+
+
+def test_segment_summary_rss_is_its_own_after_exec(tmp_path):
+    inp = tmp_path / "in.txt"
+    inp.write_text("ab cd\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", EXEC_AFTER_256MB, "segment", "--checkpoint", str(V1_DIR / "checkpoint.bin"),
+         "--input", str(inp), "--output", str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=child_env(), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1])["max_rss_mb"] < 128, proc.stderr
 
 
 # segment in a child process whose address space may grow only 32 MiB past

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from charseg import nncore, subword
 from charseg.corpus import (
+    TAG_TO_ID,
     WHITESPACE,
     DatasetSplit,
     Sentence,
@@ -26,6 +28,7 @@ from charseg.errors import (
     CharsegError,
     EmptyCorpus,
     NonFiniteEmissions,
+    NonFiniteGradient,
     ShapeMismatch,
     VocabMismatch,
 )
@@ -236,7 +239,7 @@ def test_tensors_run_output_layer_first(tiny):
     frozen = Model(tiny_config(use_start_scores=False, epochs=1), vocab)
     assert list(frozen.tensors())[-1] == "crf.start"
     s, t = split.train[0]
-    _, G = frozen.loss(s.text, tag_ids(t), mode="train", seed=1)
+    _, G = frozen.loss(s.text, tag_ids(t), seed=1)
     G_ref = G.copy()
     _, norm = clip_global_norm(frozen.views(G), 1e-3)
     _, norm_ref = clip_global_norm({n: g for n, g in frozen.views(G_ref).items() if n != "crf.start"}, 1e-3)
@@ -315,7 +318,7 @@ def test_loss_refuses_non_finite_emissions(tiny):
     model.theta[...] = 1e308
     s, t = split.train[0]
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteEmissions):
-        model.loss(s.text, tag_ids(t), mode="eval")
+        model.loss(s.text, tag_ids(t))
 
 
 def test_loss_refuses_non_finite_emissions_without_warnings(tiny):
@@ -327,8 +330,21 @@ def test_loss_refuses_non_finite_emissions_without_warnings(tiny):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NonFiniteEmissions):
-            model.loss(s.text, tag_ids(t), mode="train", seed=0)
+            model.loss(s.text, tag_ids(t), seed=0)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
+
+
+def test_non_finite_crf_transition_is_a_numeric_failure(tiny):
+    # no mask is in use in training, so an infinite transition is not a
+    # data error: the loss is not finite, and train stops at the gradient
+    split, vocab = tiny
+    model = Model(tiny_config(), vocab)
+    model.crf.transitions[TAG_TO_ID["B"], TAG_TO_ID["E"]] = np.inf
+    s, t = split.train[0]
+    value, _ = model.loss(s.text, tag_ids(t), seed=0)
+    assert not np.isfinite(value)
+    with pytest.raises(NonFiniteGradient):
+        train(model, split)
 
 
 def test_model_over_given_vector(tiny):
@@ -347,7 +363,7 @@ def test_loss_gradient_is_zero_at_frozen_start(tiny):
     split, vocab = tiny
     model = Model(tiny_config(use_start_scores=False), vocab)
     s, t = split.train[0]
-    _, G = model.loss(s.text, tag_ids(t), mode="train", seed=1)
+    _, G = model.loss(s.text, tag_ids(t), seed=1)
     assert G.shape == model.theta.shape
     np.testing.assert_array_equal(model.views(G)["crf.start"], 0.0)
 
@@ -360,7 +376,7 @@ def test_loss_gradient_ignores_uninitialized_memory(tiny, monkeypatch, kw):
     split, vocab = tiny
     model = Model(tiny_config(**kw), vocab)
     s, t = split.train[1]
-    value, G = model.loss(s.text, tag_ids(t), mode="train", seed=5)
+    value, G = model.loss(s.text, tag_ids(t), seed=5)
     empty, empty_like = np.empty, np.empty_like
 
     def nan_filled(alloc):
@@ -373,7 +389,7 @@ def test_loss_gradient_ignores_uninitialized_memory(tiny, monkeypatch, kw):
 
     monkeypatch.setattr(np, "empty", nan_filled(empty))
     monkeypatch.setattr(np, "empty_like", nan_filled(empty_like))
-    value_nan, G_nan = model.loss(s.text, tag_ids(t), mode="train", seed=5)
+    value_nan, G_nan = model.loss(s.text, tag_ids(t), seed=5)
     assert np.isnan(np.empty_like(G)).all()
     assert float(value_nan).hex() == float(value).hex()
     assert G_nan.tobytes() == G.tobytes()
@@ -399,7 +415,7 @@ def test_softmax_uniform_logits_loss(tiny):
     model.out_proj.W[:] = 0.0
     model.out_proj.b[:] = 0.0
     text = "ab cd"
-    loss, _ = model.loss(text, tag_ids("BEXBE"), mode="eval")
+    loss, _ = model.loss(text, tag_ids("BEXBE"))
     assert loss == pytest.approx(np.log(5))
 
 
@@ -429,7 +445,7 @@ def test_full_model_grad_check_all_variants(tiny):
         def loss_and_grads():
             total, acc = 0.0, None
             for i, (text, gold) in enumerate(data):
-                v, g = model.loss(text, gold, mode="train", seed=900 + i)
+                v, g = model.loss(text, gold, seed=900 + i)
                 total += v
                 if acc is None:
                     acc = g
@@ -524,7 +540,7 @@ def test_stacked_encoder_grad_check(tiny):
     assert any(k.startswith("enc1.") for k in params)
 
     def loss_and_grads():
-        v, g = model.loss(data[0][0], data[0][1], mode="train", seed=77)
+        v, g = model.loss(data[0][0], data[0][1], seed=77)
         return v, model.views(g)
 
     report = grad_check(loss_and_grads, params, n_per_tensor=2, seed=6,
@@ -695,8 +711,8 @@ def test_predict_many_pair_peak_is_features_and_one_encoder_output():
 
 
 def test_batch_emissions_keep_the_bits_of_whole_batch_products():
-    # Q and K come by text and by row block, each from a product over at
-    # least BLOCK_ROWS rows: the bits of products over the whole batch,
+    # Q comes by text and by row block from a product over at least
+    # BLOCK_ROWS rows: the bits of products over the whole batch,
     # even for a one-row last block or a text of a few characters (BLAS
     # takes products of a few rows through another kernel)
     model, (long_a, long_b) = paper_size_pair()
@@ -769,6 +785,30 @@ def test_predict_many_after_parameter_write(tiny):
     assert after != before
     assert after == list(Model(model.config, vocab, model.theta.copy()).predict_many(texts))
     assert list(model.predict_many(texts)) == after
+
+
+@pytest.mark.parametrize("size", [(32, 64), (64, 200)], ids=["32/64", "64/200"])
+def test_predict_many_concurrent_callers_match_a_sequential_run(tiny, size):
+    # predict only reads the parameters: two threads, each with its own
+    # memo, tag different lines on one model as a sequential run does
+    split, vocab = tiny
+    model = Model(tiny_config(d_emb=size[0], hidden=size[1]), vocab)
+    texts = [s.text for s, _ in split.train + split.dev]
+    lines = [texts[:5] + [" ".join(texts)], texts[5:] + [" ".join(texts[::-1] * 2)]]
+    assert min(len(ls[-1]) for ls in lines) > BLOCK_ROWS
+    want = [list(model.predict_many(ls)) for ls in lines]
+    got, start = [None, None], threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        got[i] = list(model.predict_many(lines[i], TokenMemo()))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == want
 
 
 def test_predict_many_memo_bound(tiny, monkeypatch):
@@ -856,7 +896,7 @@ def test_checkpoint_from_per_gate_arrays_loads(tmp_path):
     np.testing.assert_array_equal(model.encoder[0][1].U[8:12], stored["enc0.bwd.U_c"])
     np.testing.assert_array_equal(model.embedder.fwd.b[4:8], stored["composer.fwd.b_f"])
     text = "sajqcpc gf rm gf sajqcpc ktqpo gtjeq ktqpo"
-    value, G = model.loss(text, tag_ids("BIIIIIEXBEXBEXBEXBIIIIIEXBIIIEXBIIIEXBIIIE"), mode="eval")
+    value, G = model.loss(text, tag_ids("BIIIIIEXBEXBEXBEXBIIIIIEXBIIIEXBIIIEXBIIIE"))
     assert float(value).hex() == "0x1.162afe10ecf92p+6"
     assert float(np.sum(G * G)).hex() == "0x1.e4e94cf255e6fp+8"
     assert model.predict(text) == "SSSSSSSXSSXSSXSSXSSSSSSSXSSSSSXSSSSSXSSSSS"

@@ -499,15 +499,15 @@ def test_attention_input_gradient(rng):
 
 def test_dropout_rate_zero_identity(rng):
     X = rng.normal(size=(5, 6))
-    for mode in ("train", "eval"):
-        Y, mask = variational_dropout(X, 0.0, mode, rng)
+    for gen in (rng, None):
+        Y, mask = variational_dropout(X, 0.0, gen)
         np.testing.assert_array_equal(Y, X)
         assert mask is None
 
 
 def test_dropout_mask_shared_across_timesteps():
     X = np.ones((8, 16))
-    Y, mask = variational_dropout(X, 0.25, "train", np.random.default_rng(7))
+    Y, mask = variational_dropout(X, 0.25, np.random.default_rng(7))
     zero_cols = np.flatnonzero(mask == 0)
     assert zero_cols.size > 0
     for t in range(8):
@@ -520,21 +520,21 @@ def test_dropout_monte_carlo_mean():
     total = 0.0
     n = 10_000
     for _ in range(n):
-        Y, _ = variational_dropout(X, 0.25, "train", rng)
+        Y, _ = variational_dropout(X, 0.25, rng)
         total += Y.mean()
     assert abs(total / n - 1.0) < 0.01
 
 
 def test_dropout_bad_rate():
     with pytest.raises(BadRate):
-        variational_dropout(np.ones((2, 2)), 1.0, "train", np.random.default_rng(0))
+        variational_dropout(np.ones((2, 2)), 1.0, np.random.default_rng(0))
     with pytest.raises(BadRate):
-        variational_dropout(np.ones((2, 2)), -0.1, "train", np.random.default_rng(0))
+        variational_dropout(np.ones((2, 2)), -0.1, np.random.default_rng(0))
 
 
 def test_dropout_eval_identity(rng):
     X = rng.normal(size=(4, 5))
-    Y, mask = variational_dropout(X, 0.5, "eval")
+    Y, mask = variational_dropout(X, 0.5, None)
     np.testing.assert_array_equal(Y, X)
     assert mask is None
 

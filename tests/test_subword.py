@@ -422,15 +422,15 @@ def test_training_composes_every_span_in_one_call(rng, monkeypatch):
     # token's spans compose to the same bits
     vocab = small_vocab()
     emb = embedder_init(vocab, dim=4, rng=rng)
-    compose, calls = subword._compose, []
+    compose, calls = subword.bilstm_forward, []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return compose(*args, **kwargs)
 
-    monkeypatch.setattr(subword, "_compose", counting)
+    monkeypatch.setattr(subword, "bilstm_forward", counting)
     F, cache = char_features_cached(" ".join(["abc"] * 4), vocab, emb)
-    assert len(calls) == 1 and calls[0][1] == [3, 3, 3, 3]
+    assert len(calls) == 1 and calls[0][4] == [3, 3, 3, 3]
     assert cache.composer[0].X.shape == (12, emb.ngram_width)
     for lo in (4, 8, 12):
         assert F[lo : lo + 3].tobytes() == F[:3].tobytes()
