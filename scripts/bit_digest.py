@@ -28,15 +28,15 @@ After the digest each line prints ``infer rel``: the worst difference
 between the inference emissions and the training forward's, relative to
 the largest emission, on the same texts before and after training. It is
 not hashed. Inference (``Model.batch_emissions``) runs two batches: the
-case's sentences, and two texts of several hundred characters each
+case's sentences, and two texts of over a thousand characters each
 built from them, longer than ``model.BATCH_CHARS``, so they pair up as
 two long lines do in ``predict_many``. In both, the LSTM input products
 come from GEMMs over chunks of whole packed steps, the sequences run
 together, each sigmoid gate is taken as 1/2 + tanh(z/2)/2, and the head
 runs once over the batch's rows with attention's value path folded into
 the output layer. The long texts take their gate inputs in several
-chunks and their attention in several row blocks
-(``nncore.BLOCK_ROWS``).
+chunks, their dense rows and their attention in several row blocks
+(``nncore.block_end``).
 
 ``--save FILE`` keeps each case's digest and its raw losses and
 gradients. ``--against FILE`` prints, per case, ``digest same`` or
@@ -83,7 +83,7 @@ N_SENTENCES = 4
 def infer_rel(model: Model, texts: list[str]) -> float:
     """Worst max|E_infer - E| / max|E| over texts as one batch and over two
     long texts made of them as another."""
-    long_texts = [" ".join(texts * 4), " ".join(texts[::-1] * 3)]
+    long_texts = [" ".join(texts * 8), " ".join(texts[::-1] * 7)]
     assert min(map(len, long_texts)) > max(BATCH_CHARS, BLOCK_ROWS)
     worst = 0.0
     for batch in (texts, long_texts):

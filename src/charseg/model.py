@@ -51,6 +51,7 @@ from .nncore import (
     attention_weights,
     bilstm_backward,
     bilstm_forward,
+    block_end,
     clip_global_norm,
     dense_backward,
     dense_forward,
@@ -65,8 +66,11 @@ from .subword import NgramVocab, SubwordEmbedder, TokenMemo, char_features_backw
 Array = np.ndarray
 
 # most characters in one inference batch: enough texts to share each step's
-# product with W; 256 ran 3% faster but added 1.4 MB to peak RSS at 64/200
-BATCH_CHARS = 192
+# product with W. A step costs its GEMM plus about 50 us of numpy calls, and at
+# h=200 the GEMM's cost per row flattens past about 24 rows (15.6 us a row at 2
+# rows, 7.4 at 24, 6.5 at 48; 2-core x86 VM, one OpenBLAS thread); 1,024
+# characters of sentence-length lines run up to about 25 rows a step
+BATCH_CHARS = 1024
 
 CHECKPOINT_MAGIC = b"CSEG"
 CHECKPOINT_VERSION = 1
@@ -354,10 +358,14 @@ class Model:
         keys are D's own rows, and W_q W_k^T is kept in memo.buffers.
         Attention runs by blocks of BLOCK_ROWS rows of a text, so no array
         holds more than BLOCK_ROWS x L scores and memory grows linearly with
-        text length. The dense rows D are computed in place once the encoder
-        output is let go; beside D, the queries of at most BLOCK_ROWS rows are
-        alive, from a product over at least BLOCK_ROWS rows of D (all if it has
-        fewer), as OpenBLAS rounds a product of a few rows differently."""
+        text length. Where the dense layer is square (the default), its rows
+        D go into the encoder output by the row blocks of block_end, so one
+        N x width array is alive; else they take one product into an array
+        of their own. Beside D, the queries of one window are alive: from the
+        first query block that the last window does not hold to block_end.
+        Each of these products spans at least BLOCK_ROWS rows (all N if
+        fewer), as OpenBLAS rounds a product of a few rows differently, and
+        keeps the bits of one product over all rows."""
         if not texts:
             return []
         memo.batches += 1
@@ -367,7 +375,13 @@ class Model:
             for fwd, bwd in self.encoder:
                 cur, _ = bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers, index)
                 index = None
-            D = cur @ self.hidden_proj.W
+            W_d, N = self.hidden_proj.W, len(cur)
+            D = cur if W_d.shape[0] == W_d.shape[1] else np.empty((N, W_d.shape[1]))
+            lo = 0
+            while lo < N:
+                hi = block_end(lo, N) if D is cur else N
+                np.matmul(cur[lo:hi], W_d, out=D[lo:hi])
+                lo = hi
             del cur
             D += self.hidden_proj.b
             np.tanh(D, out=D)
@@ -383,9 +397,8 @@ class Model:
                 for sl in spans:
                     for lo in range(sl.start, sl.stop, BLOCK_ROWS):
                         hi = min(lo + BLOCK_ROWS, sl.stop)
-                        if lo < a or hi > b:
-                            a = max(0, min(lo, len(D) - BLOCK_ROWS))
-                            b = max(hi, a + BLOCK_ROWS)
+                        if hi > b:  # blocks come in row order, and each fits from its first row to block_end
+                            a, b = lo, block_end(lo, N)
                             Q = D[a:b] @ W_qk
                         E[lo:hi] += attention_weights(Q[lo - a : hi - a], D[sl]) @ Vp[sl]
         if not np.isfinite(E).all():
@@ -447,10 +460,11 @@ class Model:
     def predict_many(self, texts: Iterable[str], memo: TokenMemo | None = None) -> Iterator[str]:
         """Tag strings for normalized sentences, lazily, one per text (""
         for an empty one). Consecutive texts run through batch_emissions
-        in the batches of _batches: at most BATCH_CHARS characters, or two
-        texts when they are longer. Memory grows linearly with the longest
-        text. Tokens are composed through memo, emptied first so it lives
-        for this call only; pass one to read its counts."""
+        in the batches of _batches: at most BATCH_CHARS characters, about 25
+        sentence-length lines, or two texts when they are longer. Memory
+        grows linearly with the longest text. Tokens are composed through
+        memo, emptied first so it lives for this call only; pass one to read
+        its counts."""
         memo = TokenMemo() if memo is None else memo
         memo.clear()
         memo.buffers.pop("W_qk", None)  # made from the parameters again, once per call
@@ -477,8 +491,9 @@ def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
     """Consecutive texts, lazily, in lists of at most BATCH_CHARS
     characters, or of two non-empty texts that pass it together (empty
     texts ride along): a batch closes only once it holds two non-empty
-    texts and the next text would pass BATCH_CHARS. Two long texts thus
-    share every recurrent step's product with W."""
+    texts and the next text would pass BATCH_CHARS. Sentence-length lines
+    thus run up to about 25 rows in a recurrent step's product with W,
+    where its cost per row levels off, and two long texts share each one."""
     batch, chars, nonempty = [], 0, 0
     for text in texts:
         if nonempty >= 2 and chars + len(text) > BATCH_CHARS:

@@ -111,9 +111,20 @@ def _packing(lengths) -> tuple[Array, Array]:
 # bytes; past half of a 2 MiB L2 it ran slower (25% faster at h=64, 15% slower at 200)
 STACK_BYTES = 1 << 20
 
-# inference works on at most this many rows at once where a whole pass would
-# scale with text length: LSTM gate inputs (see _lstm_passes) and rows of attention
+# inference works on about this many rows at once where a whole pass would
+# scale with text length: LSTM gate inputs (see _lstm_passes), the dense layer and
+# rows of attention
 BLOCK_ROWS = 256
+
+
+def block_end(lo: int, n: int) -> int:
+    """The end of the row block that starts at row lo of n: an equal share of
+    the rows left, split into as many blocks as hold BLOCK_ROWS rows (one if
+    none do). Blocks so taken from row 0 tile the n rows, each of at least
+    BLOCK_ROWS rows (all n if fewer) and fewer than 2 BLOCK_ROWS, so no rows
+    are left over for a short last block."""
+    left = n - lo
+    return lo + left // max(1, left // BLOCK_ROWS)
 
 
 def gate_table_fits(n_rows: int, n_distinct: int, width: int, gate_width: int) -> bool:
@@ -145,13 +156,14 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
     takes each sigmoid as 1/2 + tanh(z/2)/2 and the products as GEMMs (it
     may round differently), fills a copy of W.T, the i, f and o columns
     halved, into one buffer kept in buffers, and takes the gate inputs
-    X @ U.T + b, scaled, one chunk of whole steps at a time (BLOCK_ROWS
-    rows, or one step that holds more), from that chunk's rows of X alone:
-    its memory beyond X and out does not grow. A chunk's product spans at
-    least BLOCK_ROWS rows (all N if fewer), ending at its last: OpenBLAS
-    rounds a product of a few rows differently, and every row keeps the
-    bits of one product over all rows. Given an index (inference only), X
-    holds distinct rows and input row k is X[index[k]]; where
+    X @ U.T + b, scaled, one chunk of whole steps at a time (up to the
+    first that reaches block_end), from that chunk's rows of X alone: its
+    memory beyond X and out does not grow. A chunk's product spans at least
+    BLOCK_ROWS rows (all N if fewer), ending at its last: OpenBLAS rounds a
+    product of a few rows differently, and every row keeps the bits of one
+    product over all rows. Only a last chunk that whole steps leave short
+    takes its product over rows before it. Given an index (inference
+    only), X holds distinct rows and input row k is X[index[k]]; where
     gate_table_fits, one product (zero rows padding it to BLOCK_ROWS) takes
     the gate inputs of X's rows, and each chunk gathers from that table."""
     N, h, D = X.shape[0] if index is None else len(index), dirs[0].hidden_dim, len(dirs)
@@ -195,17 +207,22 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
             T += b
             T *= s
             del Xp
-        A, ends = np.empty((max(min(N, BLOCK_ROWS), n_max), D, 4 * h)), np.cumsum(sizes)  # ends[t]: row after step t
+        ends, chunks, lo = np.cumsum(sizes), [], 0  # ends[t]: row after step t
+        while lo < N:  # (the product's first row, the chunk's first row, the row after it)
+            hi = int(ends[np.searchsorted(ends, block_end(lo, N))])
+            chunks.append((max(0, min(lo, hi - BLOCK_ROWS)), lo, hi))
+            lo = hi
+        A = np.empty((max((hi - a for a, _, hi in chunks), default=0), D, 4 * h))
+        chunks = iter(chunks)
 
-        def fill(lo: int, t: int) -> tuple[int, int]:
-            """Gate inputs of the steps from step t (packed row lo) on into A; returns
-            the packed rows A starts at and the row after the chunk."""
-            hi = int(ends[max(t, np.searchsorted(ends, lo + BLOCK_ROWS, "right") - 1)])
+        def fill() -> tuple[int, int]:
+            """Gate inputs of the next chunk into A; returns the packed rows A
+            starts at and the row after the chunk."""
+            a, lo, hi = next(chunks)
             if T is not None:
                 for d in range(D):
                     np.take(T[:, d], src[d][lo:hi], axis=0, out=A[: hi - lo, d], mode="clip")
                 return lo, hi
-            a = max(0, min(lo, hi - BLOCK_ROWS))  # the product's first row
             for d, p in enumerate(dirs):
                 np.matmul(X[src[d][a:hi]], p.U.T, out=A[: hi - a, d])
             A[lo - a : hi - a] += b
@@ -214,15 +231,15 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
 
         # A holds packed rows [first, hi); filling the first chunk here frees its
         # gathered rows of X before the states below are allocated
-        first, hi = fill(0, 0) if N else (0, 0)
+        first, hi = fill() if N else (0, 0)
     HS, CS = np.zeros((2, N + n_max if cache else n_max, D, h))
     out = out or [np.empty((N, h)) for _ in range(D)]
     rec, tanh_g, ig = np.empty((n_max, D, 4 * h)), np.empty((n_max, D, h)), np.empty((n_max, D, h))
     i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
     enter = [n_max, *sizes][:-1]  # step t's n rows enter from the first n of the m rows before
-    for t, (lo, n, m) in enumerate(zip(itertools.accumulate(sizes, initial=0), sizes, enter)):
+    for lo, n, m in zip(itertools.accumulate(sizes, initial=0), sizes, enter):
         if not cache and lo == hi:
-            first, hi = fill(lo, t)
+            first, hi = fill()
         a = A[lo - first : lo - first + n]
         e = lo + n_max  # in training, the row of the step's first state
         p, q = (slice(e - m, e - m + n), slice(e, e + n)) if cache else (slice(0, n), slice(0, n))

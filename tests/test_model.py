@@ -600,7 +600,7 @@ def test_predict_many_matches_cached_emissions(tiny, variant):
     # criterion 8's fixed sentences and the dev split, with empty texts
     # between them and one text longer than a batch
     fixed = make_sentences(make_lexicon(n_words=60, seed=0), 50, seed=88)
-    long_text = " ".join(fixed[:12])
+    long_text = " ".join(fixed[:30])
     assert len(long_text) > BATCH_CHARS
     texts = fixed[:20] + ["", long_text, "", ""] + fixed[20:] + [""] + [s.text for s, _ in split.dev]
     full = [t for t in texts if t]
@@ -627,7 +627,7 @@ def test_batch_emissions_match_training_forward(tiny, kw):
     split, vocab = tiny
     model = Model(tiny_config(**kw), vocab)
     texts = [s.text for s, _ in split.train]
-    long_text = " ".join(texts)
+    long_text = " ".join(texts * 4)
     assert len(long_text) > BATCH_CHARS
     for batch in (texts[:4], [long_text]):
         for text, E in zip(batch, model.batch_emissions(batch, TokenMemo()), strict=True):
@@ -657,7 +657,7 @@ def test_long_texts_batched_in_pairs(tiny):
     split, vocab = tiny
     model = Model(tiny_config(d_emb=8, hidden=12), vocab)
     texts = [s.text for s, _ in split.train]
-    long_a, long_b = " ".join(texts), " ".join(texts[::-1])
+    long_a, long_b = " ".join(texts * 4), " ".join(texts[::-1] * 4)
     assert min(len(long_a), len(long_b)) > BATCH_CHARS
     alone = [model.predict(long_a), model.predict(long_b)]
     memo = TokenMemo()
@@ -667,6 +667,24 @@ def test_long_texts_batched_in_pairs(tiny):
     assert list(model.predict_many(["", long_a, "", long_b, "", texts[0]], memo)) == [
         "", alone[0], "", alone[1], "", model.predict(texts[0])]
     assert memo.batches == 2
+
+
+def test_sentence_length_lines_run_in_one_batch(tiny):
+    # 24 lines of 26-60 characters fit one batch, so every step of the
+    # encoder runs up to 24 rows at once: the tags of predicting each line
+    # alone, and emissions within 1e-13 of the training forward's
+    split, vocab = tiny
+    model = Model(tiny_config(d_emb=8, hidden=12), vocab)
+    train(model, split)
+    lines = [t for t in make_sentences(make_lexicon(n_words=20, seed=3), 40, seed=3000) if 26 <= len(t) <= 60][:24]
+    assert len(lines) == 24 and sum(map(len, lines)) > 800
+    assert list(_batches(lines)) == [lines]
+    memo = TokenMemo()
+    assert list(model.predict_many(lines, memo)) == [model.predict(t) for t in lines]
+    assert memo.batches == 1
+    for text, E in zip(lines, model.batch_emissions(lines, TokenMemo()), strict=True):
+        ref, _ = model.emissions(text)
+        assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_predict_many_memory_linear_in_text_length(tiny):
@@ -695,31 +713,41 @@ def paper_size_pair():
 
 def test_predict_many_pair_peak_is_features_and_one_encoder_output():
     # the pair runs as one batch: the encoder writes both directions into
-    # one output (no hstack, no reordered copy) and the head keeps one
-    # N x width array, one text's K and one block's Q; what is left above
-    # the features and one encoder output is the chunk buffers
+    # one output (no hstack, no reordered copy) and the dense rows go back
+    # into it by row blocks, so the head holds one N x width array; beside
+    # it, one block of scores (BLOCK_ROWS x the longer text) and less than
+    # 5 MiB: one window of queries, E and the folded value path (N x 5
+    # each), and the two weight copies the memo keeps (1.3 MB each)
     model, texts = paper_size_pair()
     L, cfg = sum(map(len, texts)), model.config
-    feature_width = len(cfg.feature_orders()) * cfg.d_emb + 2 * cfg.d_emb
     memo = TokenMemo()
     tracemalloc.start()
     list(model.predict_many(texts, memo))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert memo.batches == 1
-    assert peak < L * 8 * (feature_width + 2 * cfg.hidden) + 4 * 2**20, peak
+    assert peak < 8 * (L * 2 * cfg.hidden + BLOCK_ROWS * max(map(len, texts))) + 5 * 2**20, peak
 
 
 def test_batch_emissions_keep_the_bits_of_whole_batch_products():
-    # Q comes by text and by row block from a product over at least
-    # BLOCK_ROWS rows: the bits of products over the whole batch,
-    # even for a one-row last block or a text of a few characters (BLAS
-    # takes products of a few rows through another kernel)
+    # the dense rows by row blocks into the encoder output, and Q by text
+    # and by row block, each from a product over at least BLOCK_ROWS rows:
+    # the bits of products over the whole batch, for batches on either side
+    # of one and two blocks, even for a one-row last block or a text of a
+    # few characters, or 150 of them (BLAS takes products of a few rows
+    # through another kernel); at attn_width=5 the dense rows take one
+    # product into an array of their own
     model, (long_a, long_b) = paper_size_pair()
-    for batch in ([long_a[: BLOCK_ROWS + 1]], [long_a[:5], long_b], [long_a[: 2 * BLOCK_ROWS + 3], long_b[:6]]):
-        got = model.batch_emissions(batch, TokenMemo())
-        want = head_from_batch_products(model, batch)
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+    narrow = Model(ModelConfig(d_emb=64, hidden=200, seed=0, attn_width=5), model.vocab)
+    batches = [[long_a[:n]] for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1)] + [
+        [long_a[:5], long_b], [long_a[: 2 * BLOCK_ROWS + 3], long_b[:6]],
+        [long_a[:300], long_b[: 2 * BLOCK_ROWS - 299]], [long_a[:600], long_b[:350]],
+        [long_a[i : i + 4] for i in range(0, 600, 4)]]
+    for m in (model, narrow):
+        for batch in batches:
+            got = m.batch_emissions(batch, TokenMemo())
+            want = head_from_batch_products(m, batch)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
 def record_table_rule(monkeypatch) -> list[bool]:
@@ -740,7 +768,7 @@ def test_layer0_distinct_rows_keep_the_bits_of_per_character_rows(tiny, kw, monk
     # repeated tokens or whitespace runs its gate inputs come from one table,
     # in short batches each chunk gathers its rows, and both keep the bits of
     # the encoder over one feature row per character (the repeated text's
-    # last chunk of 5 rows too)
+    # 4 * 256 + 5 rows in four chunks too)
     split, vocab = tiny
     model = Model(tiny_config(**kw), vocab)
     texts = [s.text for s, _ in split.train]
@@ -814,7 +842,8 @@ def test_predict_many_concurrent_callers_match_a_sequential_run(tiny, size):
 def test_predict_many_memo_bound(tiny, monkeypatch):
     split, vocab = tiny
     model = Model(tiny_config(), vocab)
-    texts = [s.text for s, _ in split.train] + ["", "ab cd ab"]
+    texts = [s.text for s, _ in split.train] * 4 + ["", "ab cd ab"]
+    assert len(list(_batches(texts))) == 2
     want = list(model.predict_many(texts))
     distinct = len({w for t in texts for w in t.split()})
     monkeypatch.setattr(subword, "MEMO_TOKENS", 3)
@@ -833,7 +862,8 @@ def test_predict_many_memory_flat_in_line_count(tiny):
     split, vocab = tiny
     model = Model(tiny_config(d_emb=8, hidden=12), vocab)
     line = split.train[0][0].text
-    few, many = [line] * 20, [line] * 200
+    few, many = [line] * 60, [line] * 600
+    assert [len(b) for b in _batches(few)][:2] == [BATCH_CHARS // len(line)] * 2  # two full batches
     list(model.predict_many(few))  # first-call allocations
     peaks = []
     for texts in (few, many):

@@ -18,6 +18,7 @@ from charseg.nncore import (
     adamax_step,
     bilstm_backward,
     bilstm_forward,
+    block_end,
     clip_global_norm,
     dense_backward,
     dense_forward,
@@ -369,9 +370,9 @@ def test_distinct_rows_keep_the_bits_of_one_row_per_input(lengths, n_distinct, s
     # X's distinct rows and an index: the gate inputs come from one table
     # (where it fits: from 512 + n_distinct rows on with both directions in
     # one loop, 256 + n_distinct with one each) or by chunks of gathered
-    # rows, with the bits of the pass over X[index]; a last chunk of 5 rows
-    # takes its product over 256 rows, as a product of a few rows at this
-    # size rounds differently
+    # rows, with the bits of the pass over X[index]; 4 * 256 + 5 rows run in
+    # four chunks of about 257 (see block_end), with no short last chunk, as
+    # a product of a few rows at this size rounds differently
     d_in, hidden = 48, 12
     rng = np.random.default_rng(seed)
     fwd, bwd = random_lstm(d_in, hidden, rng), random_lstm(d_in, hidden, rng)
@@ -380,6 +381,19 @@ def test_distinct_rows_keep_the_bits_of_one_row_per_input(lengths, n_distinct, s
         for bwd_ in (None, bwd):
             got, _ = bilstm_forward(fwd, bwd_, X, False, lengths, index=index)
             assert same_bits(got, bilstm_forward(fwd, bwd_, X[index], False, lengths)[0])
+
+
+def test_block_end_tiles_rows_in_blocks_of_one_to_two_block_rows():
+    # blocks taken from row 0 tile the rows, each of at least BLOCK_ROWS rows
+    # (all if fewer) and fewer than 2 BLOCK_ROWS; from any row, the block
+    # holds BLOCK_ROWS rows or all that are left, so a query block fits it
+    for n in range(1, 6 * BLOCK_ROWS):
+        ends = [block_end(0, n)]
+        while ends[-1] < n:
+            ends.append(block_end(ends[-1], n))
+        sizes = np.diff([0, *ends])
+        assert ends[-1] == n and min(n, BLOCK_ROWS) <= sizes.min() and sizes.max() < 2 * BLOCK_ROWS, n
+        assert all(block_end(lo, n) - lo >= min(BLOCK_ROWS, n - lo) for lo in range(0, n, 37))
 
 
 def test_gate_table_fits_when_table_and_distinct_rows_take_no_more_than_all_rows():
