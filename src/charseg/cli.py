@@ -186,7 +186,7 @@ def _print_summary(start: float, lengths: list[int], memo: subword.TokenMemo, **
     seconds, chars = time.perf_counter() - start, sum(lengths)
     summary = dict(sentences=len(lengths), chars=chars, seconds=round(seconds, 6),
                    chars_per_s=round(chars / seconds, 1), longest_line=max(lengths, default=0),
-                   tokens=memo.tokens, composed=memo.composed, batches=memo.batches, **extra)
+                   tokens=memo.tokens, composed=memo.composed, batches=memo.batches, pairs=memo.pairs, **extra)
     try:
         with open("/proc/self/status") as f:
             summary["max_rss_mb"] = round(next(int(row.split()[1]) for row in f if row.startswith("VmHWM:")) / 1024, 1)

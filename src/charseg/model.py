@@ -18,8 +18,10 @@ Every parameter tensor is a named view of one float64 vector,
 Training is per-sentence gradient descent with Adamax, global-norm
 clipping, and epoch-level model selection on dev tag F. Everything is
 deterministic given (config, seed, corpus). Training mutates parameters
-and is single-threaded by contract; predict only reads them, so a loaded
-model is safe for concurrent callers that do not share a TokenMemo.
+and runs on one thread; predict only reads them, so a loaded model is
+safe for concurrent callers that do not share a TokenMemo. Inference may
+hand independent halves of a batch to one worker thread
+(nncore.fork_join), with the same bits as running them in turn.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .nncore import (
     clip_global_norm,
     dense_backward,
     dense_forward,
+    fork_join,
     log_softmax,
     self_attention,
     self_attention_backward,
@@ -365,26 +368,47 @@ class Model:
         first query block that the last window does not hold to block_end.
         Each of these products spans at least BLOCK_ROWS rows (all N if
         fewer), as OpenBLAS rounds a product of a few rows differently, and
-        keeps the bits of one product over all rows."""
+        keeps the bits of one product over all rows. Independent halves run
+        through nncore.fork_join, the same products either way: the dense
+        blocks wherever there are two, and in a batch of more than two texts
+        (all short: their characters fit BATCH_CHARS) the directions of
+        split passes and the query windows; memo.pairs counts the halves
+        handed to the worker thread."""
         if not texts:
             return []
         memo.batches += 1
         lengths = [len(t) for t in texts]
+
+        def pair(first, second) -> None:
+            memo.pairs += fork_join(first, second)
+
+        def halves(run, items: list) -> None:  # run(items) in two halves, the first here
+            if len(items) < 2:
+                return run(items)
+            k = (len(items) + 1) // 2
+            pair(lambda: run(items[:k]), lambda: run(items[k:]))
+
+        short = len(texts) > 2
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
             cur, index = char_features_cached(texts, self.vocab, self.embedder, memo)
             for fwd, bwd in self.encoder:
-                cur, _ = bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers, index)
+                cur, _ = bilstm_forward(fwd, bwd, cur, False, lengths, memo.buffers, index, pair if short else None)
                 index = None
-            W_d, N = self.hidden_proj.W, len(cur)
+            W_d, b_d, N = self.hidden_proj.W, self.hidden_proj.b, len(cur)
             D = cur if W_d.shape[0] == W_d.shape[1] else np.empty((N, W_d.shape[1]))
-            lo = 0
+            blocks, lo = [], 0
             while lo < N:
-                hi = block_end(lo, N) if D is cur else N
-                np.matmul(cur[lo:hi], W_d, out=D[lo:hi])
-                lo = hi
+                blocks.append(slice(lo, block_end(lo, N) if D is cur else N))
+                lo = blocks[-1].stop
+
+            def dense(rows: list[slice]) -> None:
+                for r in rows:
+                    np.matmul(cur[r], W_d, out=D[r])
+                    D[r] += b_d
+                    np.tanh(D[r], out=D[r])
+
+            halves(dense, blocks)
             del cur
-            D += self.hidden_proj.b
-            np.tanh(D, out=D)
             out, at = self.out_proj, self.attn
             E = D @ out.W + out.b
             spans = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths).tolist(), lengths)]
@@ -393,14 +417,25 @@ class Model:
                 W_qk = memo.buffers.get("W_qk")
                 if W_qk is None:
                     W_qk = memo.buffers["W_qk"] = at.W_q @ at.W_k.T
-                a = b = 0  # Q holds the queries of rows a:b
+                windows, b = [], 0  # (a, b, blocks): Q over rows a:b serves the blocks
                 for sl in spans:
                     for lo in range(sl.start, sl.stop, BLOCK_ROWS):
                         hi = min(lo + BLOCK_ROWS, sl.stop)
                         if hi > b:  # blocks come in row order, and each fits from its first row to block_end
-                            a, b = lo, block_end(lo, N)
-                            Q = D[a:b] @ W_qk
-                        E[lo:hi] += attention_weights(Q[lo - a : hi - a], D[sl]) @ Vp[sl]
+                            b = block_end(lo, N)
+                            windows.append((lo, b, []))
+                        windows[-1][2].append((sl, lo, hi))
+
+                def head(ws: list) -> None:
+                    for a, b, rows in ws:
+                        Q = D[a:b] @ W_qk
+                        for sl, lo, hi in rows:
+                            E[lo:hi] += attention_weights(Q[lo - a : hi - a], D[sl]) @ Vp[sl]
+
+                if short:
+                    halves(head, windows)
+                else:
+                    head(windows)
         if not np.isfinite(E).all():
             raise NonFiniteEmissions(f"emission scores of a batch of {len(texts)} texts are not all finite")
         return [E[sl] for sl in spans]

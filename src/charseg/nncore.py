@@ -6,13 +6,18 @@ arrays (in a model, views of one parameter vector); each forward function
 returns a cache consumed by its backward counterpart. A backward function
 takes a second container of the parameters' class and writes the weight
 gradients into its arrays, so a model can hand it views of one gradient
-vector laid out like its parameters.
+vector laid out like its parameters. fork_join runs two independent
+halves of inference work at once, one of them on a worker thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -135,7 +140,7 @@ def gate_table_fits(n_rows: int, n_distinct: int, width: int, gate_width: int) -
 
 def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[int] | None,
                  buffers: dict | None = None, out: list[Array] | None = None,
-                 index: Array | None = None) -> tuple[list[Array], list[LstmCache]]:
+                 index: Array | None = None, fork: Callable | None = None) -> tuple[list[Array], list[LstmCache]]:
     """The cell of dirs[0] over X and of dirs[1], if given, over X reversed,
     each from the zero state:
 
@@ -165,26 +170,40 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
     takes its product over rows before it. Given an index (inference
     only), X holds distinct rows and input row k is X[index[k]]; where
     gate_table_fits, one product (zero rows padding it to BLOCK_ROWS) takes
-    the gate inputs of X's rows, and each chunk gathers from that table."""
+    the gate inputs of X's rows (X itself, if it has BLOCK_ROWS rows), and
+    each chunk gathers whole steps up to the first that reaches BLOCK_ROWS
+    // 4 rows from that table (a gather takes no product). Directions that
+    run as passes of their own run through fork(forward, backward) where it
+    is given (inference, with out), each filling its own copy of W.T: the
+    backward's buffers are buffers["bwd"]. One sequence needs no packing."""
     N, h, D = X.shape[0] if index is None else len(index), dirs[0].hidden_dim, len(dirs)
     lengths = [N] if lengths is None else lengths
     if D == 2 and 2 * dirs[0].W.nbytes > STACK_BYTES:
         rev = (X[::-1], None) if index is None else (X, index[::-1])
+        if fork is not None:
+            buffers = {} if buffers is None else buffers
+            bwd = buffers.setdefault("bwd", {})  # here: the two halves then write to dicts of their own
+            fork(lambda: _lstm_passes(dirs[:1], X, cache, lengths, buffers, out[:1], index),
+                 lambda: _lstm_passes(dirs[1:], rev[0], cache, lengths[::-1], bwd, out[1:], rev[1]))
+            return out, []
         (H_f,), caches_f = _lstm_passes(dirs[:1], X, cache, lengths, buffers, out and out[:1], index)
         (H_b,), caches_b = _lstm_passes(dirs[1:], rev[0], cache, lengths[::-1], buffers, out and out[1:], rev[1])
         return [H_f, H_b], caches_f + caches_b
     if X.ndim != 2 or X.shape[1] != dirs[0].input_dim or sum(lengths) != N:
         raise ShapeMismatch(f"bilstm_forward: X {X.shape} for lengths {lengths} and input width {dirs[0].input_dim}")
     Xs = [X, X[::-1]][:D]
-    packs = [_packing(ls) for ls in (lengths, lengths[::-1])[:D]]  # the same sizes
+    one = len(lengths) == 1  # packed order is the input's: no row moves
+    packs = ([(np.arange(N), np.ones(N, dtype=np.int64))] * D if one
+             else [_packing(ls) for ls in (lengths, lengths[::-1])[:D]])  # the same sizes
+    moved = [slice(None) if one else order for order, _ in packs]  # packed rows of Xs[d] and out[d]
     sizes = packs[0][1].tolist()
     n_max = max(sizes, default=1)  # the number of sequences
     b = np.stack([p.b for p in dirs])
     if cache:
         A, first = np.empty((N, D, 4 * h)), 0
         W = dirs[0].W[None] if D == 1 else np.stack([p.W for p in dirs])
-        for d, (p, (order, _)) in enumerate(zip(dirs, packs)):
-            x = Xs[d][order, :, None]  # packed rows; an h-row block of U stays in cache across them
+        for d, p in enumerate(dirs):
+            x = Xs[d][moved[d], :, None]  # packed rows; an h-row block of U stays in cache across them
             for k in range(4):
                 np.matmul(p.U[k * h : (k + 1) * h], x, out=A[:, d, k * h : (k + 1) * h, None])
     else:  # the i, f and o pre-activations halved (exact), b added once
@@ -200,7 +219,7 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
         src = [(ix, ix[::-1])[d][order] for d, (order, _) in enumerate(packs)]  # X's row of each packed row
         T = None  # the gate inputs of X's rows, where they fit
         if index is not None and gate_table_fits(N, len(X), X.shape[1], D * 4 * h):
-            Xp = np.concatenate([X, np.zeros((max(0, BLOCK_ROWS - len(X)), X.shape[1]))])
+            Xp = X if len(X) >= BLOCK_ROWS else np.concatenate([X, np.zeros((BLOCK_ROWS - len(X), X.shape[1]))])
             T = np.empty((len(Xp), D, 4 * h))
             for d, p in enumerate(dirs):
                 np.matmul(Xp, p.U.T, out=T[:, d])
@@ -209,8 +228,8 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
             del Xp
         ends, chunks, lo = np.cumsum(sizes), [], 0  # ends[t]: row after step t
         while lo < N:  # (the product's first row, the chunk's first row, the row after it)
-            hi = int(ends[np.searchsorted(ends, block_end(lo, N))])
-            chunks.append((max(0, min(lo, hi - BLOCK_ROWS)), lo, hi))
+            hi = int(ends[np.searchsorted(ends, block_end(lo, N) if T is None else min(lo + BLOCK_ROWS // 4, N))])
+            chunks.append((max(0, min(lo, hi - BLOCK_ROWS)) if T is None else lo, lo, hi))
             lo = hi
         A = np.empty((max((hi - a for a, _, hi in chunks), default=0), D, 4 * h))
         chunks = iter(chunks)
@@ -267,24 +286,25 @@ def _lstm_passes(dirs: list[LstmParams], X: Array, cache: bool, lengths: list[in
                 out[d][packs[d][0][lo : lo + n]] = HS[q, d]
     # in training, the state each row enters from: the row n_max before its own while every step holds n_max
     prev = slice(0, N) if sizes[-1] == n_max else np.arange(N) + n_max - np.repeat(enter, sizes)
-    for d, (order, _) in enumerate(packs if cache else []):
-        out[d][order] = HS[n_max:, d]
+    for d in range(D if cache else 0):
+        out[d][moved[d]] = HS[n_max:, d]
     return out, [LstmCache(Xs[d], A[:, d], HS[prev, d], CS[prev, d], CS[n_max:, d], order, sizes)
                  for d, (order, sizes) in enumerate(packs if cache else [])]
 
 
 def bilstm_forward(fwd: LstmParams, bwd: LstmParams | None, X: Array, cache: bool = True,
                    lengths: list[int] | None = None, buffers: dict | None = None,
-                   index: Array | None = None) -> tuple[Array, list[LstmCache] | None]:
+                   index: Array | None = None, fork: Callable | None = None) -> tuple[Array, list[LstmCache] | None]:
     """Left-to-right and right-to-left passes, output row t = [h_fwd_t ; h_bwd_t]
     (h_fwd_t alone without bwd), over the sequences of lengths that X holds
     (one by default), and with cache one LstmCache per direction, the
     backward's computed over X reversed. Each direction writes its states
     into its half of Y, the backward's as rows of Y[::-1]. Given an index
-    (inference only), input row t is X[index[t]] (see _lstm_passes)."""
+    or a fork (inference only), input row t is X[index[t]] and directions
+    with passes of their own run as fork(forward, backward) (see _lstm_passes)."""
     dirs, h = [p for p in (fwd, bwd) if p is not None], fwd.hidden_dim
     Y = np.empty((X.shape[0] if index is None else len(index), len(dirs) * h))
-    _, caches = _lstm_passes(dirs, X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]][: len(dirs)], index)
+    _, caches = _lstm_passes(dirs, X, cache, lengths, buffers, [Y[:, :h], Y[::-1, h:]][: len(dirs)], index, fork)
     return Y, caches if cache else None
 
 
@@ -296,8 +316,9 @@ def bilstm_backward(fwd: LstmParams, bwd: LstmParams | None, caches: list[LstmCa
     its own gradients, the weights' added in X's order."""
     dirs, grads = [p for p in (fwd, bwd) if p is not None], [grads_f, grads_b]
     N, h = caches[0].C.shape
-    dH = np.stack([y[c.order] for y, c in zip((dY[:, :h], dY[::-1, h:]), caches)], axis=1)  # packed
     sizes = caches[0].sizes.tolist()
+    one = sizes[0] == 1  # one sequence, in its own row order
+    dH = np.stack([y if one else y[c.order] for y, c in zip((dY[:, :h], dY[::-1, h:]), caches)], axis=1)  # packed
     steps = list(zip(itertools.accumulate(sizes, initial=0), sizes))[::-1]
     bounds = list(itertools.pairwise([*np.sort(caches[0].order[: sizes[0]]).tolist(), N]))  # sequences' rows in X
     dXs = []
@@ -338,8 +359,10 @@ def bilstm_backward(fwd: LstmParams, bwd: LstmParams | None, caches: list[LstmCa
             np.multiply(dc, q[:, :, 1], out=c_dc)
         del A, Q, R, P, q, tanh_C, dtanh_C  # the gradients read dP only
         for j, (p, c, g) in enumerate(zip(dirs[ds], cs, grads[ds])):
-            flat = np.argsort(c.order)  # the packed row of each input row
-            dPk, H_prev, dX = dP[flat, j].reshape(N, 4 * h), c.H_prev[flat], np.empty((N, p.input_dim))
+            flat = slice(None) if one else np.argsort(c.order)  # the packed row of each input row
+            # a product with one column (h = 1) rounds by its stride: H_prev goes in contiguous
+            dPk, H_prev = dP[flat, j].reshape(N, 4 * h), np.ascontiguousarray(c.H_prev[flat])
+            dX = np.empty((N, p.input_dim))
             for seq, (lo, hi) in enumerate(bounds):  # direction 1 holds them reversed
                 rows = slice(lo, hi) if ds.start + j == 0 else slice(N - hi, N - lo)
                 dPs, out = dPk[rows], [None] * 3 if seq else [g.W, g.U, g.b]
@@ -547,3 +570,54 @@ def adamax_step(state: AdamaxState, params: Array, grads: Array) -> Array:
         a /= b
         p -= a
     return params
+
+
+# ---------------------------------------------------------------------------
+# fork/join: independent halves of inference work on one worker thread
+# ---------------------------------------------------------------------------
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_pool = None  # the worker thread's ThreadPoolExecutor, once this process has started it
+_pool_lock = threading.Lock()
+_on_worker = threading.local()
+
+
+def _forget_worker() -> None:
+    """In a forked child, which has no worker thread: the next fork_join starts its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def fork_join(first: Callable[[], object], second: Callable[[], object]) -> bool:
+    """Run first on this thread and second on the one worker thread, in a copy
+    of this thread's contextvars context (where numpy's errstate lives), and
+    return or raise only once both have ended: first's error, else second's.
+    Where fewer than two CPUs are usable, and on the worker itself, they run
+    in turn, so work on the worker never waits for it. Concurrent callers
+    share the worker, which runs their halves one after another. Returns
+    whether second ran on the worker."""
+    global _pool
+    if usable_cpus() < 2 or getattr(_on_worker, "yes", False):
+        first()
+        second()
+        return False
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # here: a process without the worker skips ~0.5 MB
+
+            _pool = ThreadPoolExecutor(1, "charseg-worker", setattr, (_on_worker, "yes", True))
+        half = _pool.submit(contextvars.copy_context().run, second)
+    try:
+        first()
+    finally:
+        half.exception()  # waits for the worker's half to end
+    half.result()
+    return True

@@ -242,10 +242,13 @@ class TokenMemo(dict):
     parameter write. ``buffers`` holds the run's scratch arrays (see
     nncore._lstm_passes) and the head's W_q W_k^T (see
     model.Model.batch_emissions), refilled by every pass: concurrent calls
-    must not share a memo. ``tokens`` counts the tokens looked up,
-    ``composed`` those composed, ``batches`` the batched passes."""
+    must not share a memo. Where the two directions of a layer run at once
+    (see nncore.fork_join), each fills a W.T copy of its own: the backward's
+    is in buffers["bwd"]. ``tokens`` counts the tokens looked up,
+    ``composed`` those composed, ``batches`` the batched passes, ``pairs``
+    the halves of a pass handed to the worker thread."""
 
-    tokens = composed = batches = 0
+    tokens = composed = batches = pairs = 0
 
     def __init__(self):
         super().__init__()

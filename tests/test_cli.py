@@ -452,12 +452,13 @@ def test_segment_and_evaluate_summary_line(trained, prepared, tmp_path, capsys):
     assert code == 0
     line = json.loads(capsys.readouterr().err.splitlines()[-1])
     keys = {"sentences", "chars", "seconds", "chars_per_s", "longest_line", "tokens", "composed", "batches",
-            "max_rss_mb"}
+            "pairs", "max_rss_mb"}
     assert set(line) == keys | {"repairs"}
     assert line["max_rss_mb"] > 0
     # "ab cd ab" and "qq ab": ab is composed once
     assert (line["sentences"], line["chars"], line["longest_line"]) == (2, 13, 8)
     assert (line["tokens"], line["composed"], line["batches"]) == (5, 3, 1)
+    assert line["pairs"] == 0  # two short lines: one dense block and one query window, nothing to hand over
     assert line["repairs"] >= 0 and line["seconds"] > 0
     assert line["chars_per_s"] == pytest.approx(13 / line["seconds"], rel=1e-3)
 

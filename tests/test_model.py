@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import signal
 import struct
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -46,7 +50,7 @@ from charseg.model import (
 )
 from charseg.nncore import BLOCK_ROWS, clip_global_norm
 from charseg.subword import NgramVocab, TokenMemo, build_vocab
-from charseg.synth import make_lexicon, make_sentences, make_split
+from charseg.synth import make_fused_pairs, make_lexicon, make_sentences, make_split
 
 from oracles import forward_loss, grad_check, head_from_batch_products, reference_parameters, tags_match_whitespace
 
@@ -837,6 +841,116 @@ def test_predict_many_concurrent_callers_match_a_sequential_run(tiny, size):
     for t in threads:
         t.join()
     assert got == want
+
+
+def test_callers_outnumbering_the_cpus_share_the_worker(tiny, monkeypatch):
+    # four callers on two CPUs hand their halves (directions, dense blocks
+    # and query windows) to the one worker at once, with threads switching
+    # every 10 µs: every call returns the tags of a run on its own
+    split, vocab = tiny
+    model = Model(tiny_config(d_emb=64, hidden=200), vocab)
+    texts = [s.text for s, _ in split.train + split.dev]
+    both = texts + texts[::-1]
+    lines = [both[i:] + both[:i] for i in range(4)]
+    assert 2 * BLOCK_ROWS <= sum(map(len, both)) <= BATCH_CHARS
+    monkeypatch.setattr(nncore, "usable_cpus", lambda: 2)
+    want = [list(model.predict_many(ls)) for ls in lines]
+    got, memos, start = [[] for _ in lines], [TokenMemo() for _ in lines], threading.Barrier(len(lines))
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            got[i].append(list(model.predict_many(lines[i], memos[i])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(lines))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
+    assert [m.pairs for m in memos] == [3 * 3] * len(lines)
+
+
+def test_threaded_batch_emissions_keep_the_bytes_and_tags_of_one_cpu(monkeypatch):
+    # on two CPUs a batch of more than two texts hands three halves to the
+    # worker thread: the backward direction, half the dense row blocks and
+    # half the query windows; on one CPU (or pinned to one) they run in
+    # turn. Both give the same bytes and tags, on 24 short lines and on
+    # short lines mixed with 300-character texts
+    model, (long_a, long_b) = paper_size_pair()
+    lines = [t for t in make_sentences(make_lexicon(n_words=20, seed=3), 40, seed=3000) if 26 <= len(t) <= 60][:24]
+    batches = [lines, [lines[0], long_a[:300], lines[1], long_b[:300], lines[2]]]
+    assert len(lines) == 24 and all(2 * BLOCK_ROWS < sum(map(len, b)) <= BATCH_CHARS for b in batches)
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(nncore, "usable_cpus", lambda: cpus)
+        memo = TokenMemo()
+        runs.append(([model.batch_emissions(b, memo) for b in batches],
+                     [list(model.predict_many(b)) for b in batches], memo.pairs))
+    (threaded, threaded_tags, pairs), (in_turn, in_turn_tags, no_pairs) = runs
+    assert (pairs, no_pairs) == (3 * len(batches), 0)
+    for got, want in zip(threaded, in_turn, strict=True):
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+    assert threaded_tags == in_turn_tags
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_of_a_threaded_predict_many_starts_its_own_worker(tiny, monkeypatch):
+    # a forked child has no worker thread: its first hand-off starts one
+    split, vocab = tiny
+    model = Model(tiny_config(d_emb=64, hidden=200), vocab)
+    texts = [s.text for s, _ in split.train]
+    monkeypatch.setattr(nncore, "usable_cpus", lambda: 2)
+    memo = TokenMemo()
+    want = list(model.predict_many(texts, memo))
+    assert memo.pairs > 0
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            memo = TokenMemo()
+            code = 0 if list(model.predict_many(texts, memo)) == want and memo.pairs > 0 else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the child did not end within 30 s"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class NoWorker:
+    """Stands in for the worker thread: a half handed to it fails the test."""
+
+    def submit(self, *args):
+        pytest.fail("a half went to the worker thread")
+
+
+def test_small_model_over_fused_lines_never_starts_the_worker(monkeypatch):
+    # at 32/64 the directions share one step loop, and lines like
+    # train-fused's (8 fused sentences, fewer than 2 x BLOCK_ROWS
+    # characters) make one dense block and one query window: neither
+    # training with its dev evaluation nor predict_many hands work over
+    pairs = make_fused_pairs(make_lexicon(n_words=60, seed=0), 16, space_prob=0.1, seed=2000)
+    split = DatasetSplit(train=pairs[:8], dev=pairs[8:], test=[])
+    model = Model(ModelConfig(d_emb=32, hidden=64, epochs=1), build_vocab(s.text for s, _ in split.train))
+    monkeypatch.setattr(nncore, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(nncore, "_pool", NoWorker())
+    train(model, split)
+    memo = TokenMemo()
+    texts = [s.text for s, _ in split.dev]
+    assert sum(map(len, texts)) < 2 * BLOCK_ROWS
+    assert all(tags for tags in model.predict_many(texts, memo))
+    assert memo.pairs == 0
 
 
 def test_predict_many_memo_bound(tiny, monkeypatch):

@@ -1,6 +1,10 @@
 import contextlib
 import dataclasses
+import functools
 import math
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from charseg.nncore import (
     clip_global_norm,
     dense_backward,
     dense_forward,
+    fork_join,
     gate_table_fits,
     global_norm,
     logsumexp,
@@ -689,3 +694,75 @@ def test_dense_grad_check(rng):
 
     report = grad_check(loss_and_grads, params, n_per_tensor=4, seed=4)
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# fork/join on the worker thread
+# ---------------------------------------------------------------------------
+
+def test_fork_join_runs_second_on_the_worker_in_the_callers_context(monkeypatch):
+    # numpy's errstate lives in a contextvar: the worker's half runs under
+    # the caller's, and on one CPU both halves run here, in turn
+    ran = []
+
+    def half(name):
+        def run():
+            ran.append((name, threading.current_thread().name.startswith("charseg-worker"), np.geterr()["invalid"]))
+        return run
+
+    for cpus, worker in ((2, True), (1, False)):
+        monkeypatch.setattr(nncore, "usable_cpus", lambda: cpus)
+        ran.clear()
+        with np.errstate(invalid="raise"):
+            assert fork_join(half("first"), half("second")) is worker
+        assert sorted(ran) == [("first", False, "raise"), ("second", worker, "raise")]
+
+
+@pytest.mark.parametrize("failing", ["first", "second"])
+def test_fork_join_raises_only_after_the_workers_half_has_ended(monkeypatch, failing):
+    # an error of either half reaches the caller, and only once the
+    # worker's half, which runs longer, has ended
+    monkeypatch.setattr(nncore, "usable_cpus", lambda: 2)
+    ended = threading.Event()
+
+    def first():
+        if failing == "first":
+            raise ValueError("first")
+
+    def second():
+        time.sleep(0.2)
+        ended.set()
+        if failing == "second":
+            raise ValueError("second")
+
+    with pytest.raises(ValueError, match=failing):
+        fork_join(first, second)
+    assert ended.is_set()
+    assert fork_join(lambda: None, lambda: None)  # the worker still serves
+
+
+def test_fork_join_on_the_worker_runs_both_halves_in_turn(monkeypatch):
+    # work on the worker never waits for it: a fork_join called there runs
+    # its halves in turn (handing one to the busy worker would never end)
+    monkeypatch.setattr(nncore, "usable_cpus", lambda: 2)
+    nested = []
+    caller = threading.Thread(target=fork_join, daemon=True,
+                              args=(lambda: None, lambda: nested.append(fork_join(lambda: None, lambda: None))))
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive() and nested == [False]
+
+
+def test_fork_join_lets_go_of_the_workers_half(monkeypatch):
+    # an idle worker holds nothing of the last half it ran: a pass's arrays
+    # (an encoder output, say) are freed when the pass ends, not at the
+    # worker's next job
+    monkeypatch.setattr(nncore, "usable_cpus", lambda: 2)
+    arr = np.ones(4)
+    ref = weakref.ref(arr)
+    assert fork_join(lambda: None, functools.partial(np.sum, arr))
+    del arr
+    deadline = time.monotonic() + 5
+    while ref() is not None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert ref() is None
