@@ -135,6 +135,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    start = time.perf_counter()
     cfg = _build_config(args)
     if args.dump_config:
         for f in dataclasses.fields(cfg):
@@ -170,6 +171,7 @@ def cmd_train(args) -> int:
         with corpus.replace_on_success(out_dir / "vocab.tsv", "wb") as f:
             f.write((data_dir / "vocab.tsv").read_bytes())
     print(f"best epoch {best.epoch}  dev F {best.dev_f:.4f}")
+    _print_summary(start, "sentences", sentences=len(split.train) * len(log), epochs=len(log))
     return EXIT_OK
 
 
@@ -180,13 +182,12 @@ def _load_model(args) -> model_mod.Model:
     return model_mod.load_model(ckpt, vocab)
 
 
-def _print_summary(start: float, lengths: list[int], memo: subword.TokenMemo, **extra) -> None:
-    """Print the run's summary, wall time from start included, as one JSON line on stderr;
-    max_rss_mb is the process's peak resident memory so far (VmHWM, which exec resets, or ru_maxrss)."""
-    seconds, chars = time.perf_counter() - start, sum(lengths)
-    summary = dict(sentences=len(lengths), chars=chars, seconds=round(seconds, 6),
-                   chars_per_s=round(chars / seconds, 1), longest_line=max(lengths, default=0),
-                   tokens=memo.tokens, composed=memo.composed, batches=memo.batches, pairs=memo.pairs, **extra)
+def _print_summary(start: float, per_s: str, **summary) -> None:
+    """Print summary as one JSON line on stderr, with the wall time since start, the rate of
+    summary[per_s] over it, and max_rss_mb, the process's peak resident memory so far (VmHWM,
+    which exec resets, or ru_maxrss)."""
+    seconds = time.perf_counter() - start
+    summary.update({"seconds": round(seconds, 6), f"{per_s}_per_s": round(summary[per_s] / seconds, 1)})
     try:
         with open("/proc/self/status") as f:
             summary["max_rss_mb"] = round(next(int(row.split()[1]) for row in f if row.startswith("VmHWM:")) / 1024, 1)
@@ -195,6 +196,11 @@ def _print_summary(start: float, lengths: list[int], memo: subword.TokenMemo, **
             kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
             summary["max_rss_mb"] = round(kib / 1024, 1)
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+
+
+def _print_tagging_summary(start: float, lengths: list[int], memo: subword.TokenMemo, **extra) -> None:
+    _print_summary(start, "chars", sentences=len(lengths), chars=sum(lengths), longest_line=max(lengths, default=0),
+                   tokens=memo.tokens, composed=memo.composed, batches=memo.batches, pairs=memo.pairs, **extra)
 
 
 def cmd_segment(args) -> int:
@@ -222,7 +228,7 @@ def cmd_segment(args) -> int:
             out.write(" ".join(tokens) + "\n")
             if tag_out is not None:
                 tag_out.write(corpus.labeled_block(text, tags))
-    _print_summary(start, lengths, memo, repairs=repairs)
+    _print_tagging_summary(start, lengths, memo, repairs=repairs)
     return EXIT_OK
 
 
@@ -240,7 +246,7 @@ def cmd_evaluate(args) -> int:
         memo = subword.TokenMemo()
         pred_tags = list(net.predict_many((s.text for s, _ in pairs), memo))
         name = net.config.variant
-        _print_summary(start, [len(s.text) for s, _ in pairs], memo)
+        _print_tagging_summary(start, [len(s.text) for s, _ in pairs], memo)
     report = metrics.tag_prf(gold_tags, pred_tags, model=name)
     report.token = metrics.token_f(
         [corpus.tags_to_spans(t)[0] for t in gold_tags],

@@ -26,12 +26,14 @@ hand independent halves of a batch to one worker thread
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import struct
 import sys
+import tempfile
 import typing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -578,9 +580,13 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
 
     Per epoch: seeded shuffle, per-batch backprop, global-norm clipping,
     Adamax update; then dev evaluation. Dev must be non-empty up front so
-    model selection is always defined. Beyond theta it holds Adamax's m
-    and u, one best-dev buffer refreshed in place, and the batch's
-    gradient: a sentence's is let go once it is in the batch.
+    model selection is always defined. It holds four parameter-sized
+    vectors: theta, Adamax's m and u, and the batch's gradient (a
+    sentence's is let go once it is in the batch). The best-dev
+    parameters go to an unnamed temporary file in TMPDIR, written on each
+    new best but the last epoch's, whose theta is already the best, and
+    read back only if a later epoch left theta worse; a short write or
+    read raises OSError.
     """
     cfg = model.config
     if not split.train:
@@ -590,45 +596,62 @@ def train(model: Model, split: DatasetSplit, progress=None) -> list[EpochRecord]
     opt = AdamaxState.init(model.theta, lr=cfg.lr)
     rng = np.random.default_rng([cfg.seed, 1])
     log: list[EpochRecord] = []
-    best_f, best_theta = -1.0, np.empty_like(model.theta)
+    best_f, best_epoch, snapshot = -1.0, None, None
 
     train_ids = [(s, tag_ids(t)) for s, t in split.train]
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr * (cfg.lr_decay ** epoch)
-        order = rng.permutation(len(train_ids))
-        total = 0.0
-        batch: Array | None = None
-        batch_n = 0
-        for si in order:
-            sent, gold = train_ids[si]
-            seed = int(rng.integers(0, 2**63 - 1))
-            value, G = model.loss(sent.text, gold, seed)
-            total += value
-            if batch is None:
-                batch, batch_n = G, 1
-            else:
-                batch += G
-                batch_n += 1
-            del G  # now batch's to keep or free, not alive through the next loss
-            if batch_n >= cfg.batch_size:
+    with contextlib.ExitStack() as stack:
+        for epoch in range(cfg.epochs):
+            opt.lr = cfg.lr * (cfg.lr_decay ** epoch)
+            order = rng.permutation(len(train_ids))
+            total = 0.0
+            batch: Array | None = None
+            batch_n = 0
+            for si in order:
+                sent, gold = train_ids[si]
+                seed = int(rng.integers(0, 2**63 - 1))
+                value, G = model.loss(sent.text, gold, seed)
+                total += value
+                if batch is None:
+                    batch, batch_n = G, 1
+                else:
+                    batch += G
+                    batch_n += 1
+                del G  # now batch's to keep or free, not alive through the next loss
+                if batch_n >= cfg.batch_size:
+                    _apply(model, opt, batch, batch_n, cfg.grad_clip)
+                    batch, batch_n = None, 0
+            if batch is not None:
                 _apply(model, opt, batch, batch_n, cfg.grad_clip)
-                batch, batch_n = None, 0
-        if batch is not None:
-            _apply(model, opt, batch, batch_n, cfg.grad_clip)
-        dev_p, dev_r, dev_f = _dev_metrics(model, split.dev)
-        rec = EpochRecord(
-            epoch=epoch, train_loss=total / len(train_ids),
-            dev_p=dev_p, dev_r=dev_r, dev_f=dev_f,
-        )
-        log.append(rec)
-        if progress is not None:
-            progress(rec)
-        if dev_f > best_f:
-            best_f = dev_f
-            np.copyto(best_theta, model.theta)
-    if best_f > -1.0:  # some epoch's dev F was a number
-        np.copyto(model.theta, best_theta)
+            dev_p, dev_r, dev_f = _dev_metrics(model, split.dev)
+            rec = EpochRecord(
+                epoch=epoch, train_loss=total / len(train_ids),
+                dev_p=dev_p, dev_r=dev_r, dev_f=dev_f,
+            )
+            log.append(rec)
+            if progress is not None:
+                progress(rec)
+            if dev_f > best_f:
+                best_f, best_epoch = dev_f, epoch
+                if epoch < cfg.epochs - 1:
+                    if snapshot is None:
+                        snapshot = stack.enter_context(tempfile.TemporaryFile())
+                    _snapshot(snapshot, model.theta, write=True)
+        if best_epoch is not None and best_epoch < cfg.epochs - 1:
+            _snapshot(snapshot, model.theta, write=False)
     return log
+
+
+def _snapshot(f, theta: Array, write: bool) -> None:
+    """Write theta's bytes whole to the start of f, or read them back."""
+    what = "write" if write else "read"
+    try:
+        f.seek(0)
+        n = f.write(theta.data) if write else f.readinto(theta.data)
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot {what} the best-dev parameters in {tempfile.gettempdir()}: "
+                                 f"{exc.strerror}") from None
+    if n != theta.nbytes:
+        raise OSError(f"short {what} of the best-dev parameters: {n} of {theta.nbytes} bytes")
 
 
 def _apply(model: Model, opt: AdamaxState, batch: Array, n: int, clip: float) -> None:

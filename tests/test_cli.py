@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import errno
 import io
 import json
 import os
@@ -153,6 +154,54 @@ def test_train_byte_deterministic(prepared, tmp_path):
         outs.append(out)
     for name in ("checkpoint.bin", "epochs.jsonl", "vocab.tsv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_train_summary_line(prepared, tmp_path, capsys):
+    # one JSON line on stderr after the epoch lines, nothing of it in the outputs
+    code = main(["train", str(prepared), "--out", str(tmp_path / "run"),
+                 "--epochs", "2", "--d-emb", "4", "--hidden", "6", "--seed", "0"])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split()[:2] for line in err[:-1]] == [["epoch", "0"], ["epoch", "1"]]
+    line = json.loads(err[-1])
+    assert set(line) == {"sentences", "epochs", "seconds", "sentences_per_s", "max_rss_mb"}
+    assert (line["sentences"], line["epochs"]) == (2 * len(read_labeled(prepared / "train.tsv")), 2)
+    assert line["max_rss_mb"] > 0 and line["seconds"] > 0
+    assert line["sentences_per_s"] == pytest.approx(line["sentences"] / line["seconds"], rel=1e-3)
+    assert "seconds" not in (tmp_path / "run" / "epochs.jsonl").read_text()
+
+
+# train in a child process whose files may not grow past its first argument
+# once charseg is imported; Python ignores SIGXFSZ, so a write past the
+# limit fails with EFBIG
+FSIZE_CHILD = """
+import resource, sys
+from charseg.cli import main
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), int(sys.argv[1])))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_train_failing_snapshot_write_exits_2_and_leaves_nothing(prepared, tmp_path):
+    # the best-dev snapshot after epoch 0 is the run's first file past the
+    # limit: one error line after epoch 0's, no output, and nothing left in
+    # TMPDIR, where the snapshot file has no name
+    flags = ["--epochs", "2", "--d-emb", "16", "--hidden", "32", "--seed", "0"]
+    vocab = NgramVocab.load(prepared / "vocab.tsv")
+    limit = 1 << 18
+    assert model_mod.Model(model_mod.ModelConfig(d_emb=16, hidden=32), vocab).theta.nbytes > 2 * limit
+    out, tmp = tmp_path / "run", tmp_path / "tmp"
+    tmp.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", FSIZE_CHILD, str(limit), "train", str(prepared), "--out", str(out), *flags],
+        capture_output=True, text=True, env=dict(child_env(), TMPDIR=str(tmp)), timeout=600,
+    )
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 2 and err[0].split()[:2] == ["epoch", "0"], proc.stderr
+    assert err[1] == f"error: [Errno {errno.EFBIG}] cannot write the best-dev parameters in {tmp}: File too large"
+    assert not (out / "checkpoint.bin").exists() and not (out / "epochs.jsonl").exists()
+    assert list(tmp.iterdir()) == []
 
 
 def test_train_conflicting_flags_usage_error(tmp_path):

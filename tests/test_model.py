@@ -4,18 +4,20 @@ import os
 import signal
 import struct
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charseg import nncore, subword
+from charseg import model as model_mod, nncore, subword
 from charseg.corpus import (
     TAG_TO_ID,
     WHITESPACE,
@@ -509,9 +511,10 @@ def test_train_batch_size_two_runs(tiny):
 
 
 def test_train_holds_one_gradient_beyond_optimizer_and_snapshot(tiny):
-    # beyond theta: Adamax's m and u, one best-dev buffer refreshed in
-    # place and one gradient, as each sentence's is let go once it is in
-    # the batch; a second gradient or snapshot would pass 5x theta
+    # beyond theta: Adamax's m and u and one gradient, as each sentence's
+    # is let go once it is in the batch; the best-dev snapshot lives in a
+    # temporary file, not in memory. A second gradient, or a snapshot
+    # held in an array, would pass 4x theta
     split = make_split(n_train=2, n_dev=2)
     vocab = build_vocab(s.text for s, _ in split.train)
     model = Model(ModelConfig(d_emb=64, hidden=200, epochs=2, seed=0), vocab)
@@ -519,12 +522,12 @@ def test_train_holds_one_gradient_beyond_optimizer_and_snapshot(tiny):
     train(model, split)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 4.5 * model.theta.nbytes, (peak / model.theta.nbytes)
+    assert peak < 3.5 * model.theta.nbytes, (peak / model.theta.nbytes)
 
 
 def test_train_leaves_the_first_best_dev_epoch_parameters(tiny):
-    # the snapshot buffer is refreshed on each strictly better dev F and
-    # copied back into theta at the end
+    # the snapshot file is rewritten on each strictly better dev F and
+    # read back into theta at the end
     split, vocab = tiny
     model = Model(tiny_config(epochs=6, lr=1.0), vocab)
     seen = []
@@ -532,6 +535,56 @@ def test_train_leaves_the_first_best_dev_epoch_parameters(tiny):
     best = max(range(len(log)), key=lambda i: log[i].dev_f)
     assert log[-1].dev_f < log[best].dev_f
     assert model.theta.tobytes() == seen[best].tobytes()
+
+
+class SnapshotFile:
+    """Stands in for the file tempfile.TemporaryFile opens: counts its
+    writes, and with short=True each stores one parameter less, as a full
+    disk can."""
+
+    def __init__(self, short=False):
+        self.f, self.short, self.writes = tempfile.TemporaryFile(), short, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def seek(self, offset):
+        return self.f.seek(offset)
+
+    def readinto(self, buf):
+        return self.f.readinto(buf)
+
+    def write(self, data):
+        self.writes += 1
+        return self.f.write(data[:-1] if self.short else data)
+
+
+@pytest.mark.parametrize("epochs, lr", [(6, 1.0), (3, 1.0), (1, 0.025)])
+def test_train_writes_the_snapshot_only_where_a_later_epoch_may_undo_it(tiny, monkeypatch, epochs, lr):
+    # one write per strictly better dev F but the last epoch's, into one
+    # file for the run, opened at the first; theta ends as the best epoch
+    # left it, read back or, where the last epoch is the best, as it is
+    split, vocab = tiny
+    opened, seen = [], []
+    monkeypatch.setattr(model_mod, "tempfile",
+                        SimpleNamespace(TemporaryFile=lambda: opened.append(SnapshotFile()) or opened[-1]))
+    model = Model(tiny_config(epochs=epochs, lr=lr), vocab)
+    log = train(model, split, progress=lambda rec: seen.append(model.theta.copy()))
+    bests = [i for i, rec in enumerate(log) if all(rec.dev_f > r.dev_f for r in log[:i])]
+    written = [i for i in bests if i < epochs - 1]
+    assert len(opened) == bool(written)
+    assert sum(f.writes for f in opened) == len(written)
+    assert model.theta.tobytes() == seen[bests[-1]].tobytes()
+
+
+def test_train_short_snapshot_write_raises_os_error(tiny, monkeypatch):
+    split, vocab = tiny
+    monkeypatch.setattr(model_mod, "tempfile", SimpleNamespace(TemporaryFile=lambda: SnapshotFile(short=True)))
+    with pytest.raises(OSError, match="short write of the best-dev parameters"):
+        train(Model(tiny_config(epochs=2), vocab), split)
 
 
 def test_stacked_encoder_grad_check(tiny):
